@@ -21,14 +21,22 @@ order of the legacy loops by construction, NaN semantics follow numpy
 (``np.minimum`` propagates NaN; ``inf - inf`` is not a change), and
 the build forbids FMA contraction.
 
+``saga_price_run`` prices one compute run for several structures in a
+single pass (see :mod:`repro.compute.pricing`, whose numpy reference it
+matches bit for bit).  Its per-iteration sums reproduce ``np.sum``'s
+pairwise grouping rather than a sequential loop; ``saga_pairwise_sum``
+exposes that sum so a test can pin it to the installed numpy.
+
 Gates:
 
 - ``SAGA_BENCH_NO_CCOMPUTE=1`` (or ``all``) disables every compiled
-  compute kernel; a comma list (``inc_round,expand``) disables
-  individual kernels, leaving the rest compiled.
-- ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns a failed build into a hard
-  error instead of the silent numpy fallback (CI sets it so a broken
-  toolchain cannot masquerade as a perf regression).
+  compute kernel; a comma list of :data:`KERNEL_NAMES` (e.g.
+  ``inc_round,price``) disables individual kernels, leaving the rest
+  compiled.
+- A failed build falls back to numpy with one ``RuntimeWarning`` naming
+  the exception.  ``SAGA_BENCH_REQUIRE_CCOMPUTE=1`` turns it into a
+  hard error instead (CI sets it so a broken toolchain cannot
+  masquerade as a perf regression).
 - ``SAGA_BENCH_LEGACY_COMPUTE=1`` bypasses the vectorized engines
   entirely, so these kernels never run on the legacy path.
 - ``SAGA_BENCH_COMPUTE_THREADS=N`` runs the fused INC round on a
@@ -43,6 +51,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import warnings
 from typing import FrozenSet, Optional, Tuple
 
 import numpy as np
@@ -69,7 +78,31 @@ KERNEL_NAMES = frozenset(
         "relax_round",
         "delta_pass",
         "scatter",
+        "price",
     }
+)
+
+#: Traversal shapes of ``saga_price_run`` (a structure's
+#: ``vector_traversal_cost``; see :mod:`repro.compute.pricing`).
+SHAPE_CONTIGUOUS = 0
+SHAPE_STINGER = 1
+SHAPE_DAH = 2
+
+#: Cost-model fields ``saga_price_run`` reads, in its ``CM_*`` order.
+PRICE_COST_FIELDS = (
+    "probe_element",
+    "probe_block_element",
+    "pointer_chase",
+    "hash_compute",
+    "hash_probe",
+    "hash_iterate_slot",
+    "degree_query",
+    "vertex_task_base",
+    "neighbor_visit",
+    "property_write",
+    "cas",
+    "queue_push",
+    "task_dispatch",
 )
 
 #: Fused INC-round vertex functions (``saga_inc_round``'s ``op``).
@@ -776,6 +809,230 @@ int64_t saga_delta_pass(
     }
     return ne;
 }
+
+/* ---- compute-run pricing -----------------------------------------
+ * saga_price_run prices every iteration of one ComputeRun for several
+ * traversal-cost signatures in one pass, bit-identical to the numpy
+ * reference in repro.compute.pricing: each per-task cost is the same
+ * float64 expression evaluated in the same order, the per-iteration
+ * sum is np.sum's pairwise grouping, and the Graham bound is
+ * repro.sim.scheduler.graham_makespan. */
+
+/* GCC's -O3 vectorizes and unswitches the per-task cost loops (about
+ * 15% off this kernel); it changes no float bits, since the build
+ * keeps IEEE semantics and forbids FMA contraction. */
+#pragma GCC push_options
+#pragma GCC optimize("O3")
+
+/* numpy's pairwise summation of a contiguous float64 array: a plain
+ * loop below 8 elements, 8 accumulators up to 128, and above that a
+ * split at n/2 rounded down to a multiple of 8. */
+static double pairwise(const double *a, int64_t n)
+{
+    int64_t i, j;
+    if (n < 8) {
+        double res = 0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    } else {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return pairwise(a, n2) + pairwise(a + n2, n - n2);
+    }
+}
+
+/* np.sum(a): the reduction starts from the identity 0.0. */
+double saga_pairwise_sum(int64_t n, const double *a)
+{
+    return 0.0 + pairwise(a, n);
+}
+
+/* Traversal shapes (a structure's vector_traversal_cost). */
+#define SHAPE_CONTIGUOUS 0
+#define SHAPE_STINGER 1
+#define SHAPE_DAH 2
+
+/* Cost-model constants, in the order ComputeKernels.price_run packs
+ * them (PRICE_COST_FIELDS). */
+enum {
+    CM_PROBE_ELEMENT,
+    CM_PROBE_BLOCK_ELEMENT,
+    CM_POINTER_CHASE,
+    CM_HASH_COMPUTE,
+    CM_HASH_PROBE,
+    CM_HASH_ITERATE_SLOT,
+    CM_DEGREE_QUERY,
+    CM_VERTEX_TASK_BASE,
+    CM_NEIGHBOR_VISIT,
+    CM_PROPERTY_WRITE,
+    CM_CAS,
+    CM_QUEUE_PUSH,
+    CM_TASK_DISPATCH
+};
+
+/* One vertex's traversal cost from its degree x (a non-negative
+ * integer held exactly in a double).  Stinger's block count is the
+ * integer ceil of x / block, which is what np.ceil(x / block) gives. */
+static inline __attribute__((always_inline)) double traversal_cost(
+    int32_t shape, double x, const double *cm, double dah_threshold,
+    double block)
+{
+    double q, blocks;
+    switch (shape) {
+    case SHAPE_STINGER:
+        q = x / block;
+        blocks = (double)(int64_t)q;
+        blocks += (blocks < q) ? 1.0 : 0.0;
+        return (cm[CM_PROBE_ELEMENT] + cm[CM_POINTER_CHASE] * blocks)
+               + cm[CM_PROBE_BLOCK_ELEMENT] * x;
+    case SHAPE_DAH:
+        return ((cm[CM_DEGREE_QUERY] + cm[CM_HASH_COMPUTE]) + cm[CM_HASH_PROBE])
+               + (x > dah_threshold ? cm[CM_HASH_ITERATE_SLOT]
+                                    : cm[CM_PROBE_ELEMENT]) * x;
+    default:
+        return cm[CM_PROBE_ELEMENT] * (1.0 + x);
+    }
+}
+
+/* np.max of a non-empty array whose NaNs, if any, already make the
+ * caller's pairwise sum (and so every result) NaN: four independent
+ * maxima keep the loop off a single compare-latency chain. */
+static double longest_task(const double *a, int64_t n)
+{
+    double m[4] = {-INFINITY, -INFINITY, -INFINITY, -INFINITY};
+    int64_t i, k;
+    for (i = 0; i + 4 <= n; i += 4)
+        for (k = 0; k < 4; k++)
+            m[k] = a[i + k] > m[k] ? a[i + k] : m[k];
+    for (; i < n; i++)
+        m[0] = a[i] > m[0] ? a[i] : m[0];
+    for (k = 1; k < 4; k++)
+        m[0] = m[k] > m[0] ? m[k] : m[0];
+    return m[0];
+}
+
+/* One signature's task costs for one iteration into cbuf: the npull
+ * pull tasks, then the push tasks.  Always inlined with a constant
+ * shape, so each shape gets its own branch-free loop. */
+static inline __attribute__((always_inline)) void task_costs(
+    int32_t shape, const double *dbuf, int64_t npull, int64_t n,
+    const double *cm, double dq, int32_t neighbor_degree_query,
+    double dah_threshold, double block, double *cbuf)
+{
+    int64_t j;
+    for (j = 0; j < npull; j++) {
+        double x = dbuf[j];
+        double c = ((cm[CM_VERTEX_TASK_BASE]
+                     + traversal_cost(shape, x, cm, dah_threshold, block))
+                    + x * cm[CM_NEIGHBOR_VISIT])
+                   + cm[CM_PROPERTY_WRITE];
+        if (neighbor_degree_query)
+            c = c + x * dq;
+        cbuf[j] = c;
+    }
+    for (j = npull; j < n; j++) {
+        double x = dbuf[j];
+        cbuf[j] = traversal_cost(shape, x, cm, dah_threshold, block)
+                  + x * cm[CM_CAS];
+    }
+}
+
+/* Price n_iter iterations for nsig (shape, degree-query cost)
+ * signatures.  table holds one row per iteration: pull-vertex array
+ * address, pull count, push-vertex array address, push count, queue
+ * pushes.  Per non-empty iteration the pull tasks come first, then
+ * the push tasks, exactly as the reference concatenates them; degrees
+ * are gathered once into dbuf and each signature's task costs fill
+ * cbuf (both sized to the longest iteration).  latency/work receive
+ * the per-signature sums over iterations.  Returns 0, or -(i + 1)
+ * when iteration i names a vertex outside the degree arrays. */
+int64_t saga_price_run(
+    int64_t n_iter,
+    const int64_t *table,
+    const int64_t *deg_in,
+    int64_t n_in,
+    const int64_t *deg_out,
+    int64_t n_out,
+    int64_t nsig,
+    const int32_t *shapes,
+    const double *dq,
+    int32_t neighbor_degree_query,
+    const double *cm,
+    int64_t dah_threshold,
+    int64_t block,
+    int64_t threads,
+    double scale,
+    int64_t dispatch_chunk,
+    double *dbuf,
+    double *cbuf,
+    double *latency,
+    double *work)
+{
+    double t = (double)threads;
+    double thr = (double)dah_threshold, blk = (double)block;
+    int64_t i, j, s;
+    for (s = 0; s < nsig; s++)
+        latency[s] = work[s] = 0.0;
+    for (i = 0; i < n_iter; i++) {
+        const int64_t *row = table + 5 * i;
+        const int64_t *pull = (const int64_t *)(intptr_t)row[0];
+        const int64_t *push = (const int64_t *)(intptr_t)row[2];
+        int64_t npull = row[1], n = row[1] + row[3];
+        double extra;
+        if (n == 0)
+            continue;
+        for (j = 0; j < npull; j++) {
+            int64_t v = pull[j];
+            if ((uint64_t)v >= (uint64_t)n_in)
+                return -(i + 1);
+            dbuf[j] = (double)deg_in[v];
+        }
+        for (j = npull; j < n; j++) {
+            int64_t v = push[j - npull];
+            if ((uint64_t)v >= (uint64_t)n_out)
+                return -(i + 1);
+            dbuf[j] = (double)deg_out[v];
+        }
+        extra = (double)row[4] * cm[CM_QUEUE_PUSH];
+        for (s = 0; s < nsig; s++) {
+            double longest, total;
+            switch (shapes[s]) {
+            case SHAPE_STINGER:
+                task_costs(SHAPE_STINGER, dbuf, npull, n, cm, dq[s],
+                           neighbor_degree_query, thr, blk, cbuf);
+                break;
+            case SHAPE_DAH:
+                task_costs(SHAPE_DAH, dbuf, npull, n, cm, dq[s],
+                           neighbor_degree_query, thr, blk, cbuf);
+                break;
+            default:
+                task_costs(SHAPE_CONTIGUOUS, dbuf, npull, n, cm, dq[s],
+                           neighbor_degree_query, thr, blk, cbuf);
+            }
+            longest = longest_task(cbuf, n);
+            total = saga_pairwise_sum(n, cbuf)
+                    + cm[CM_TASK_DISPATCH] * (double)n / (double)dispatch_chunk;
+            latency[s] += (total / t + (1.0 - 1.0 / t) * longest) * scale + extra / t;
+            work[s] += total + extra;
+        }
+    }
+    return 0;
+}
+
+#pragma GCC pop_options
 """
 
 
@@ -807,6 +1064,14 @@ class ComputeKernels:
             lib.saga_delta_pass,
             _I64,
             [_I64] + [_PTR] * 6 + [_F64, _I32] + [_PTR] * 2,
+        )
+        _sig(lib.saga_pairwise_sum, _F64, [_I64, _PTR])
+        _sig(
+            lib.saga_price_run,
+            _I64,
+            [_I64, _PTR, _PTR, _I64, _PTR, _I64, _I64, _PTR, _PTR, _I32, _PTR]
+            + [_I64, _I64, _I64, _F64, _I64]
+            + [_PTR] * 4,
         )
         _sig(lib.saga_set_threads, None, [_I64])
         _sig(lib.saga_get_threads, _I64, [])
@@ -973,6 +1238,66 @@ class ComputeKernels:
         )
         return ev_tgt[:ne], ev_cand[:ne]
 
+    def pairwise_sum(self, a: np.ndarray) -> float:
+        """The kernel's ``np.sum`` twin over a contiguous float64 array."""
+        return float(self._lib.saga_pairwise_sum(a.size, self._p(a)))
+
+    def price_run(
+        self,
+        table: np.ndarray,
+        deg_in: np.ndarray,
+        deg_out: np.ndarray,
+        shapes: np.ndarray,
+        dq: np.ndarray,
+        neighbor_degree_query: bool,
+        cost_fields: np.ndarray,
+        dah_threshold: int,
+        block: int,
+        threads: int,
+        scale: float,
+        dispatch_chunk: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Price a run's iteration ``table`` for every signature.
+
+        ``table`` is ``(iterations, 5)`` int64: pull-array address,
+        pull count, push-array address, push count, queue pushes.  The
+        addressed arrays must be contiguous int64 and stay alive for
+        the call.  Returns per-signature (latency, work) cycle sums
+        over the iterations.
+        """
+        longest = int((table[:, 1] + table[:, 3]).max()) if len(table) else 0
+        dbuf = np.empty(longest, dtype=np.float64)
+        cbuf = np.empty(longest, dtype=np.float64)
+        latency = np.empty(shapes.size, dtype=np.float64)
+        work = np.empty(shapes.size, dtype=np.float64)
+        status = self._lib.saga_price_run(
+            len(table),
+            self._p(table),
+            self._p(deg_in),
+            deg_in.size,
+            self._p(deg_out),
+            deg_out.size,
+            shapes.size,
+            self._p(shapes),
+            self._p(dq),
+            1 if neighbor_degree_query else 0,
+            self._p(cost_fields),
+            dah_threshold,
+            block,
+            threads,
+            scale,
+            dispatch_chunk,
+            self._p(dbuf),
+            self._p(cbuf),
+            self._p(latency),
+            self._p(work),
+        )
+        if status < 0:
+            raise IndexError(
+                f"iteration {-status - 1} names a vertex outside the degree arrays"
+            )
+        return latency, work
+
 
 _kernels: Optional[ComputeKernels] = None
 _disabled: FrozenSet[str] = frozenset()
@@ -1014,6 +1339,13 @@ def _probe() -> Optional[ComputeKernels]:
                 f"{REQUIRE_ENV} is set but the compute kernels failed to "
                 f"build: {exc}"
             ) from exc
+        warnings.warn(
+            f"compiled compute kernels unavailable ({type(exc).__name__}: "
+            f"{exc}); pricing, INC and FS fall back to numpy and run "
+            f"several times slower",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         _kernels = None
     return _kernels
 

@@ -267,11 +267,6 @@ class AdjacencyListChunked(GraphDataStructure):
         cost = self.cost
         return cost.probe_element * (1 + self._in.degree(u))
 
-    @staticmethod
-    def vector_traversal_cost(degrees, cost):
-        """Vectorized :meth:`out_traversal_cost` over a degree array."""
-        return cost.probe_element * (1.0 + degrees)
-
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in
         store.trace_traversal(u, recorder)

@@ -144,6 +144,17 @@ class _ObjectEmitter:
         return TaskArray.from_tasks(self._tasks)
 
 
+def contiguous_traversal_cost(degrees, cost):
+    """Vectorized traversal cost of a contiguous neighbor scan.
+
+    One header probe plus one probe per neighbor: the shape of every
+    vector-based store (AS, AC and BA's contiguous segments).  The
+    compute pricer groups structures by this function, so the
+    structures sharing it are priced once.
+    """
+    return cost.probe_element * (1.0 + degrees)
+
+
 class GraphDataStructure(abc.ABC):
     """Base class for the four streaming-graph data structures.
 
@@ -498,6 +509,10 @@ class GraphDataStructure(abc.ABC):
         structure's own (paper Section V-B, "Impact of data structures
         ... on compute latency").
         """
+
+    #: :meth:`out_traversal_cost` vectorized over a degree array;
+    #: Stinger and DAH override it with their own traversal shapes.
+    vector_traversal_cost = staticmethod(contiguous_traversal_cost)
 
     def in_traversal_cost(self, u: int) -> float:
         """Cycles to traverse ``u``'s in-neighbors once."""

@@ -399,11 +399,6 @@ class BlockedAdjacency(GraphDataStructure):
     def _in_traversal_cost_directed(self, u: int) -> float:
         return self.cost.probe_element * (1 + self._in.degree(u))
 
-    @staticmethod
-    def vector_traversal_cost(degrees, cost):
-        """Contiguous segments traverse like plain vectors."""
-        return cost.probe_element * (1.0 + degrees)
-
     def _trace_traversal(self, u: int, recorder, out: bool) -> None:
         store = self._out if out else self._in
         store.trace_traversal(u, recorder)

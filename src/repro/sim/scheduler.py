@@ -99,7 +99,22 @@ class ScheduleResult:
         return float(self.total_work_cycles / self.makespan_cycles)
 
 
-def _work_scale(threads: int, physical_cores: int, cost: CostModel) -> float:
+#: Iterations one ``parallel for`` dispatch hands a thread: the
+#: per-dispatch overhead is amortized over this many tasks.
+PARALLEL_FOR_CHUNK = 64
+
+
+def graham_makespan(total: float, longest: float, threads: int, scale: float) -> float:
+    """Greedy list-scheduling bound ``(total/T + (1 - 1/T) * longest) * scale``.
+
+    Graham's bound for dynamic scheduling of independent tasks: ``total``
+    cycles of work over ``threads`` threads, the ``longest`` task
+    finishing last, dilated by the SMT ``scale``.
+    """
+    return (total / threads + (1.0 - 1.0 / threads) * longest) * scale
+
+
+def work_scale(threads: int, physical_cores: int, cost: CostModel) -> float:
     """Per-thread work dilation when SMT siblings share cores."""
     if physical_cores <= 0:
         raise SimulationError(f"physical_cores must be positive, got {physical_cores}")
@@ -195,7 +210,7 @@ class DynamicScheduler:
         n = len(tasks)
         if n == 0:
             return _empty_result(self.threads)
-        scale = _work_scale(self.threads, self.physical_cores, self.cost)
+        scale = work_scale(self.threads, self.physical_cores, self.cost)
         # Timeline capture (``--trace-out``) needs per-task start/end
         # times, which only the explicit event loop produces; the
         # closed forms and the compiled kernel are bypassed.  The
@@ -602,7 +617,7 @@ class DynamicScheduler:
         n = len(tasks)
         threads = self.threads
         cost = self.cost
-        scale = _work_scale(threads, self.physical_cores, cost)
+        scale = work_scale(threads, self.physical_cores, cost)
         thread_busy = np.zeros(threads)
         task_thread = np.empty(n, dtype=np.int32)
         if n == 0:
@@ -707,7 +722,7 @@ class ChunkedScheduler:
         chunk = tasks.chunk
         if bool((chunk < 0).any()):
             raise SimulationError("ChunkedScheduler requires tasks with a chunk")
-        scale = _work_scale(threads, self.physical_cores, self.cost)
+        scale = work_scale(threads, self.physical_cores, self.cost)
         tid = chunk % threads
         work = tasks.unlocked_work + tasks.locked_work
         thread_busy = np.bincount(tid, weights=work * scale, minlength=threads)
@@ -730,7 +745,7 @@ class ChunkedScheduler:
     def _run_objects(self, tasks: Sequence[Task]) -> ScheduleResult:
         """The original per-object loop (legacy task path)."""
         threads = self.threads
-        scale = _work_scale(threads, self.physical_cores, self.cost)
+        scale = work_scale(threads, self.physical_cores, self.cost)
         thread_busy = np.zeros(threads)
         n = len(tasks)
         task_thread = np.empty(n, dtype=np.int32)
@@ -765,20 +780,20 @@ def parallel_for_makespan(
     threads: int,
     physical_cores: Optional[int] = None,
     cost_model: CostModel = DEFAULT_COST_MODEL,
-    dispatch_chunk: int = 64,
+    dispatch_chunk: int = PARALLEL_FOR_CHUNK,
 ) -> ScheduleResult:
     """Makespan of a lock-free OpenMP ``parallel for`` over ``costs``.
 
-    Uses the greedy list-scheduling bound
-    ``makespan = total/T + (1 - 1/T) * max_task`` (Graham), which is a
-    tight model for dynamic scheduling of independent iterations, plus
-    per-dispatch overhead amortized over ``dispatch_chunk`` iterations.
+    Uses the greedy list-scheduling bound of :func:`graham_makespan`,
+    which is a tight model for dynamic scheduling of independent
+    iterations, plus per-dispatch overhead amortized over
+    ``dispatch_chunk`` iterations.
     """
     if threads < 1:
         raise SimulationError(f"threads must be >= 1, got {threads}")
     cost = cost_model
     cores = physical_cores if physical_cores is not None else threads
-    scale = _work_scale(threads, cores, cost)
+    scale = work_scale(threads, cores, cost)
     costs = np.asarray(costs, dtype=np.float64)
     n = int(costs.size)
     task_thread = (np.arange(n, dtype=np.int32) % threads) if n else np.empty(0, np.int32)
@@ -794,7 +809,7 @@ def parallel_for_makespan(
     dispatch = cost.task_dispatch * n / dispatch_chunk
     total = float(costs.sum()) + dispatch
     longest = float(costs.max())
-    makespan = (total / threads + (1.0 - 1.0 / threads) * longest) * scale
+    makespan = graham_makespan(total, longest, threads, scale)
     busy = np.bincount(task_thread, weights=costs, minlength=threads)
     return ScheduleResult(
         makespan_cycles=makespan,

@@ -793,18 +793,19 @@ class AdaptiveStreamDriver(StreamDriver):
                             time.perf_counter() - wall_start
                             if features_on else 0.0
                         )
-                        for structure_name in self.candidate_structures:
-                            cycles = 0.0
-                            for priced_run in runs:
-                                pricing = price_compute_run(
-                                    priced_run,
-                                    structure_name,
-                                    deg_in[:n],
-                                    deg_out[:n],
-                                    ctx,
-                                    neighbor_degree_query=algorithm.neighbor_degree_query,
-                                )
-                                cycles += pricing.latency_cycles
+                        run_cycles = dict.fromkeys(self.candidate_structures, 0.0)
+                        for priced_run in runs:
+                            priced = price_compute_run(
+                                priced_run,
+                                self.candidate_structures,
+                                deg_in[:n],
+                                deg_out[:n],
+                                ctx,
+                                neighbor_degree_query=algorithm.neighbor_degree_query,
+                            )
+                            for structure_name, pricing in priced.items():
+                                run_cycles[structure_name] += pricing.latency_cycles
+                        for structure_name, cycles in run_cycles.items():
                             seconds = ctx.seconds(cycles)
                             compute_actual[
                                 (structure_name, alg_name, model)

@@ -171,10 +171,11 @@ def _run_ops_decomposition(
     :mod:`repro.obs.model`): vertex-function evaluations and the
     in-degree mass they pull, push scans and the out-degree mass they
     touch, queue pushes, CAS attempts, and whole-array scan accesses.
-    These mirror the terms of
-    :func:`repro.compute.pricing.price_compute_run`, which is linear in
-    exactly these counts, so the composite ``ops`` is the abscissa of
-    the closed-form model ``T = setup + per_op * ops``.  Following the
+    These mirror the per-task terms that
+    :func:`repro.compute.pricing.price_compute_run` sums for every
+    structure of a run in one pass, which are linear in exactly these
+    counts, so the composite ``ops`` is the abscissa of the closed-form
+    model ``T = setup + per_op * ops``.  Following the
     instruction-mix style of refined compute models, ``ops`` weights
     each component by its documented cost-model constant (the
     structure-independent part of the pricing terms); the
@@ -706,18 +707,19 @@ class StreamDriver:
                             ops_row = _run_ops_decomposition(
                                 runs, deg_in, deg_out, n, ctx.cost_model
                             )
-                        for structure_name in cfg.structures:
-                            cycles = 0.0
-                            for priced_run in runs:
-                                pricing = price_compute_run(
-                                    priced_run,
-                                    structure_name,
-                                    deg_in[:n],
-                                    deg_out[:n],
-                                    ctx,
-                                    neighbor_degree_query=algorithm.neighbor_degree_query,
-                                )
-                                cycles += pricing.latency_cycles
+                        run_cycles = dict.fromkeys(cfg.structures, 0.0)
+                        for priced_run in runs:
+                            priced = price_compute_run(
+                                priced_run,
+                                cfg.structures,
+                                deg_in[:n],
+                                deg_out[:n],
+                                ctx,
+                                neighbor_degree_query=algorithm.neighbor_degree_query,
+                            )
+                            for structure_name, pricing in priced.items():
+                                run_cycles[structure_name] += pricing.latency_cycles
+                        for structure_name, cycles in run_cycles.items():
                             record.compute_cycles[
                                 (alg_name, model, structure_name)
                             ] = cycles

@@ -342,7 +342,7 @@ class TestEnvGates:
             ckernels.reset()
 
     def test_build_failure_falls_back_without_require(self, monkeypatch):
-        def broken(source, stem):
+        def broken(source, stem, **kwargs):
             raise OSError("no compiler on this box")
 
         monkeypatch.setattr(ckernels, "load_library", broken)
@@ -350,7 +350,8 @@ class TestEnvGates:
         monkeypatch.delenv(ckernels.DISABLE_ENV, raising=False)
         ckernels.reset()
         try:
-            assert not ckernels.loaded()
+            with pytest.warns(RuntimeWarning, match="no compiler on this box"):
+                assert not ckernels.loaded()
             assert ckernels.get("inc_round") is None
         finally:
             monkeypatch.undo()
