@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 
 from repro.graph import EdgeBatch, ExecutionContext, ReferenceGraph, make_structure
-from repro.graph.hashtables import OpenAddressTable, RobinHoodTable
+from repro.graph.nativestore import NativeDAHStore
 from repro.sim.cache import CacheHierarchy
 from repro.sim.machine import MachineConfig
-from repro.sim.scheduler import DynamicScheduler, Task
-from repro.sim.trace import MemoryTrace, TraceRecorder
+from repro.sim.memory import AddressSpace
+from repro.sim.scheduler import DynamicScheduler
+from repro.sim.tasks import TaskArray
+from repro.sim.trace import MemoryTrace, NullRecorder
 
 MACHINE = MachineConfig()
 NODES = 4000
@@ -44,10 +46,12 @@ def test_update_throughput(benchmark, name):
 def test_dynamic_scheduler(benchmark):
     """DES throughput on a contended task mix."""
     rng = np.random.default_rng(1)
-    tasks = [
-        Task(unlocked_work=float(w), locked_work=20.0, lock=int(lock))
-        for w, lock in zip(rng.integers(5, 50, 8000), rng.integers(0, 400, 8000))
-    ]
+    tasks = TaskArray.build(
+        8000,
+        unlocked_work=rng.integers(5, 50, 8000),
+        locked_work=20.0,
+        lock=rng.integers(0, 400, 8000),
+    )
     scheduler = DynamicScheduler(64, physical_cores=32)
     result = benchmark(scheduler.run, tasks)
     assert result.makespan_cycles > 0
@@ -71,19 +75,21 @@ def test_cache_replay(benchmark):
     assert stats.accesses == 50_000
 
 
-@pytest.mark.parametrize("table_cls", [RobinHoodTable, OpenAddressTable])
-def test_hashtable_inserts(benchmark, table_cls):
-    """Hash-table put/get throughput."""
-    keys = np.random.default_rng(3).integers(0, 1 << 30, size=20_000)
+def test_dah_twin_inserts(benchmark):
+    """Per-edge DAH twin throughput: the traced and no-compiler path."""
+    rng = np.random.default_rng(3)
+    src = rng.integers(0, 512, size=20_000).tolist()
+    dst = rng.integers(0, 1 << 20, size=20_000).tolist()
 
     def fill():
-        table = table_cls(initial_capacity=64)
-        for key in keys:
-            table.put(int(key), None)
-        return table
+        store = NativeDAHStore(512, 64, AddressSpace(), "bench", kernels=None)
+        recorder = NullRecorder()
+        for u, v in zip(src, dst):
+            store.insert(u, v, 1.0, recorder)
+        return store
 
-    table = benchmark(fill)
-    assert len(table) == len(set(keys.tolist()))
+    store = benchmark(fill)
+    assert sum(store.degree(u) for u in range(512)) == len(set(zip(src, dst)))
 
 
 def test_incremental_engine(benchmark):

@@ -1,13 +1,13 @@
-"""Microbenchmark: columnar task kernels vs the legacy object path.
+"""Microbenchmark: compiled batch ingest vs the per-edge Python twins.
 
 Replays the quick-mode Fig. 9 update workload -- the RMAT stream cut
 into batches, ingested into every data structure and re-scheduled over
-the core-scaling ladder -- through both task representations:
+the core-scaling ladder -- through both implementations of the update
+plane:
 
-- the legacy path (``SAGA_BENCH_LEGACY_TASKS=1``): one ``Task`` object
-  per edge operation, per-object scheduler loops;
-- the columnar path (default): ``TaskArray`` emission and the array
-  scheduler kernels.
+- the twins path (``SAGA_BENCH_NO_CINGEST=all``): the stores' per-edge
+  Python twins, the reference and no-compiler fallback;
+- the compiled path (default): one fused C ingest call per batch.
 
 Both paths are checked bit-identical while being timed, then the
 throughputs (scheduled tasks per second of emission + scheduling) and
@@ -47,7 +47,6 @@ from repro.compute import ckernels
 from repro.sim import ckernel, cingest
 from repro.obs import METRICS
 from repro.sim.machine import SCALED_SKYLAKE_GOLD_6142
-from repro.sim.tasks import LEGACY_TASKS_ENV
 
 #: The quick-mode Fig. 9 hardware-profile workload (see repro.cli).
 DATASET = "RMAT"
@@ -58,12 +57,18 @@ STRUCTURE_NAMES = ("AS", "AC", "Stinger", "DAH", "BA")
 MACHINE = SCALED_SKYLAKE_GOLD_6142
 
 
-def run_path(name, batches, max_nodes, directed, legacy):
-    """Ingest + reschedule the workload on one path; return timing/fidelity."""
-    if legacy:
-        os.environ[LEGACY_TASKS_ENV] = "1"
+def select_path(twins):
+    """Route structures built from now on to the twins or the kernel."""
+    if twins:
+        os.environ[cingest.DISABLE_ENV] = "all"
     else:
-        os.environ.pop(LEGACY_TASKS_ENV, None)
+        os.environ.pop(cingest.DISABLE_ENV, None)
+    cingest.reset()
+
+
+def run_path(name, batches, max_nodes, directed, twins):
+    """Ingest + reschedule the workload on one path; return timing/fidelity."""
+    select_path(twins)
     structure = make_structure(name, max_nodes, directed=directed)
     makespans = []
     ladder = []
@@ -102,46 +107,46 @@ def bench_structure(name, batches, max_nodes, directed, repeat=3):
     """
     runs = alternating_runs(
         {
-            "legacy": lambda: run_path(name, batches, max_nodes, directed, legacy=True),
-            "columnar": lambda: run_path(
-                name, batches, max_nodes, directed, legacy=False
+            "twins": lambda: run_path(name, batches, max_nodes, directed, twins=True),
+            "compiled": lambda: run_path(
+                name, batches, max_nodes, directed, twins=False
             ),
         },
         repeat,
     )
-    legacy_runs, columnar_runs = runs["legacy"], runs["columnar"]
-    legacy = min_run(legacy_runs)
-    columnar = min_run(columnar_runs)
-    for runs, ref in ((legacy_runs, legacy), (columnar_runs, columnar)):
+    twins_runs, compiled_runs = runs["twins"], runs["compiled"]
+    twins = min_run(twins_runs)
+    compiled = min_run(compiled_runs)
+    for runs, ref in ((twins_runs, twins), (compiled_runs, compiled)):
         for run in runs:
             if run["makespans"] != ref["makespans"] or run["ladder"] != ref["ladder"]:
                 raise SystemExit(f"{name}: repetitions diverge (non-deterministic)")
-    if legacy["makespans"] != columnar["makespans"]:
-        raise SystemExit(f"{name}: columnar makespans diverge from legacy")
-    if legacy["ladder"] != columnar["ladder"]:
-        raise SystemExit(f"{name}: columnar core-ladder makespans diverge")
-    speedup = legacy["seconds"] / columnar["seconds"]
+    if twins["makespans"] != compiled["makespans"]:
+        raise SystemExit(f"{name}: compiled makespans diverge from the twins")
+    if twins["ladder"] != compiled["ladder"]:
+        raise SystemExit(f"{name}: compiled core-ladder makespans diverge")
+    speedup = twins["seconds"] / compiled["seconds"]
     row = {
         "structure": name,
         "batches": len(batches),
-        "tasks_scheduled": columnar["tasks_scheduled"],
-        "legacy_seconds": round(legacy["seconds"], 4),
-        "columnar_seconds": round(columnar["seconds"], 4),
-        "legacy_tasks_per_second": round(legacy["tasks_per_second"]),
-        "columnar_tasks_per_second": round(columnar["tasks_per_second"]),
+        "tasks_scheduled": compiled["tasks_scheduled"],
+        "twins_seconds": round(twins["seconds"], 4),
+        "compiled_seconds": round(compiled["seconds"], 4),
+        "twins_tasks_per_second": round(twins["tasks_per_second"]),
+        "compiled_tasks_per_second": round(compiled["tasks_per_second"]),
         "speedup": round(speedup, 2),
     }
     print(
         f"{name:8s} {row['batches']:3d} batches  "
-        f"legacy {legacy['seconds']:6.2f}s  "
-        f"columnar {columnar['seconds']:6.2f}s  "
+        f"twins {twins['seconds']:6.2f}s  "
+        f"compiled {compiled['seconds']:6.2f}s  "
         f"speedup {speedup:5.2f}x  bit-identical"
     )
     return row
 
 
 def collect_metrics(batches, max_nodes, directed):
-    """Metrics snapshot of one columnar pass over the workload.
+    """Metrics snapshot of one compiled pass over the workload.
 
     Runs separately from the timed repetitions -- those execute with
     observability disabled so the reported numbers measure the kernels,
@@ -149,7 +154,7 @@ def collect_metrics(batches, max_nodes, directed):
     lock contention per structure) is embedded in the output JSON so a
     benchmark record also documents what the workload actually did.
     """
-    os.environ.pop(LEGACY_TASKS_ENV, None)
+    select_path(twins=False)
     was_enabled = METRICS.enabled
     METRICS.reset()
     METRICS.enable()
@@ -201,11 +206,12 @@ def main(argv=None):
         )
         for name in STRUCTURE_NAMES
     ]
-    legacy_total = sum(r["legacy_seconds"] for r in rows)
-    columnar_total = sum(r["columnar_seconds"] for r in rows)
-    overall = legacy_total / columnar_total
+    select_path(twins=False)
+    twins_total = sum(r["twins_seconds"] for r in rows)
+    compiled_total = sum(r["compiled_seconds"] for r in rows)
+    overall = twins_total / compiled_total
     print(
-        f"overall  legacy {legacy_total:.2f}s  columnar {columnar_total:.2f}s  "
+        f"overall  twins {twins_total:.2f}s  compiled {compiled_total:.2f}s  "
         f"speedup {overall:.2f}x"
     )
     payload = {
@@ -223,8 +229,8 @@ def main(argv=None):
         "compute_threads": ckernels.compute_threads(),
         "structures": rows,
         "metrics": collect_metrics(batches, dataset.max_nodes, dataset.directed),
-        "legacy_seconds": round(legacy_total, 4),
-        "columnar_seconds": round(columnar_total, 4),
+        "twins_seconds": round(twins_total, 4),
+        "compiled_seconds": round(compiled_total, 4),
         "speedup": round(overall, 2),
     }
     with open(args.output, "w") as handle:

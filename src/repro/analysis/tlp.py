@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.datasets.catalog import DEFAULT_BATCH_SIZE, load_dataset
 from repro.graph import ExecutionContext, make_structure
-from repro.sim.tasks import TaskArray
 from repro.streaming.batching import make_batches
 
 
@@ -88,26 +87,15 @@ def run_tlp_report(
         busy_total = float(busy.sum())
         # Per-thread *insert* work, overhead tasks excluded.
         tasks = result.extra["tasks"]
-        if isinstance(tasks, TaskArray):
-            keep = ~tasks.overhead
-            thread = np.where(
-                tasks.chunk >= 0,
-                tasks.chunk % threads,
-                np.asarray(schedule.task_thread, dtype=np.int64),
-            )
-            work = np.bincount(
-                thread[keep], weights=tasks.total_work[keep], minlength=threads
-            )
-        else:
-            work = np.zeros(threads)
-            for task_index, task in enumerate(tasks):
-                if task.overhead:
-                    continue
-                if task.chunk is not None:
-                    thread = task.chunk % threads
-                else:
-                    thread = int(schedule.task_thread[task_index])
-                work[thread] += task.total_work
+        keep = ~tasks.overhead
+        thread = np.where(
+            tasks.chunk >= 0,
+            tasks.chunk % threads,
+            np.asarray(schedule.task_thread, dtype=np.int64),
+        )
+        work = np.bincount(
+            thread[keep], weights=tasks.total_work[keep], minlength=threads
+        )
         mean_work = float(work.mean()) if work.size else 0.0
         samples.append(
             TLPSample(

@@ -30,8 +30,7 @@ make that non-trivial:
    ``bincount`` and whole-array sums (SSSP's delta pick) ``cumsum``.
    Min/max reductions are order-free bitwise and use ``reduceat``.
 
-The legacy path stays available behind ``SAGA_BENCH_LEGACY_COMPUTE=1``
-(mirroring ``SAGA_BENCH_LEGACY_TASKS`` from PR 2).
+The legacy path stays available behind ``SAGA_BENCH_LEGACY_COMPUTE=1``.
 """
 
 from __future__ import annotations

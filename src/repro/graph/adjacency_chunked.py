@@ -19,19 +19,19 @@ import numpy as np
 from repro.errors import StructureError
 from repro.graph.adjacency_shared import _price_vector_ops
 from repro.graph.base import ExecutionContext, GraphDataStructure
-from repro.graph.nativestore import make_vector_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
-from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, Task, TaskArray
+from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.vectorstore import row_layout
+from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
 #: Default chunk count; matches the paper's 64 hardware threads.
 DEFAULT_CHUNKS = 64
 
 
 def chunk_overhead_array(cost, batch_size: int, chunks: int) -> TaskArray:
-    """The per-batch routing overhead of chunked structures, columnar.
+    """The per-batch routing overhead of chunked structures.
 
-    Mirrors ``_batch_overhead_tasks``: every chunk scans the whole
-    batch once per store direction to find the edges it owns.
+    Every chunk scans the whole batch once per store direction to find
+    the edges it owns.
     """
     directions = 2  # out+in stores (directed) or both orientations
     route = cost.route_edge * batch_size * directions
@@ -80,27 +80,14 @@ class _ChunkedEmitter:
     def ingest_batch(self, batch) -> int:
         """Fused untraced ingest; chunk ids are rebuilt in ``finish``."""
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.aux = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.aux = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.aux,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder)
@@ -172,9 +159,9 @@ class AdjacencyListChunked(GraphDataStructure):
         if chunks < 1:
             raise StructureError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
-        self._out = make_vector_store(max_nodes, self.space, "AC.out", "AC")
+        self._out = NativeVectorStore(max_nodes, self.space, "AC.out", self._kernels)
         self._in = (
-            make_vector_store(max_nodes, self.space, "AC.in", "AC")
+            NativeVectorStore(max_nodes, self.space, "AC.in", self._kernels)
             if directed
             else None
         )
@@ -188,52 +175,7 @@ class AdjacencyListChunked(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _ChunkedEmitter:
         return _ChunkedEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._chunked_insert(self._out, src, dst, weight, recorder)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._chunked_insert(self._in, src, dst, weight, recorder)
-
-    def _chunked_insert(self, store, src, dst, weight, recorder) -> Tuple[Task, bool]:
-        outcome = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        work = cost.probe_element * outcome.scanned
-        if outcome.inserted:
-            work += cost.insert_slot
-            work += cost.vector_grow_per_element * outcome.grew_from
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            outcome.inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._chunked_delete(self._out, src, dst, recorder)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._chunked_delete(self._in, src, dst, recorder)
-
-    def _chunked_delete(self, store, src, dst, recorder) -> Tuple[Task, bool]:
-        outcome = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = cost.probe_element * outcome.scanned
-        if outcome.removed:
-            work += cost.insert_slot * (1 + outcome.moved)
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            outcome.removed,
-        )
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        # Every chunk scans the whole batch once per store direction to
-        # find the edges it owns.
-        directions = 2  # out+in stores (directed) or both orientations
-        route = self.cost.route_edge * batch_size * directions
-        return [
-            Task(unlocked_work=route, chunk=c, overhead=True)
-            for c in range(self.chunks)
-        ]
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = ChunkedScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

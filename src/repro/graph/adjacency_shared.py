@@ -20,9 +20,9 @@ from repro.graph.base import (
     GraphDataStructure,
     IN_STORE_LOCK_BASE,
 )
-from repro.graph.nativestore import make_vector_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
-from repro.sim.scheduler import DynamicScheduler, ScheduleResult, Task, TaskArray
+from repro.graph.nativestore import NativeVectorStore, native_vec_ingest
+from repro.graph.vectorstore import row_layout
+from repro.sim.scheduler import DynamicScheduler, ScheduleResult, TaskArray
 
 
 class _SharedEmitter:
@@ -30,8 +30,7 @@ class _SharedEmitter:
 
     Records, per operation, the slots scanned, whether the store
     changed, the growth/backfill count, and the lock id; ``finish``
-    prices all rows with the same arithmetic (and the same operation
-    order, for bit-identity) as the per-object path.
+    prices all rows with vectorized arithmetic.
     """
 
     __slots__ = (
@@ -64,33 +63,20 @@ class _SharedEmitter:
         return len(self.scanned)
 
     def ingest_batch(self, batch) -> int:
-        """Fused untraced ingest: one flat pass over the whole batch.
+        """Fused untraced ingest through the compiled kernel.
 
         Lock ids are not appended per operation; they depend only on
         the batch content and are rebuilt vectorized in ``finish``.
         """
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.aux = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.aux = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.aux,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder, src)
@@ -143,8 +129,8 @@ class _SharedEmitter:
 def _price_vector_ops(cost, scanned, hit, aux, delete) -> np.ndarray:
     """Vectorized pricing of vector-store scans (shared by AS and AC).
 
-    Replicates the scalar expressions term by term: the probe charge,
-    then the slot charge on changed rows, then the grow/backfill charge.
+    Term by term: the probe charge, then the slot charge on changed
+    rows, then the grow/backfill charge.
     """
     work = cost.probe_element * np.asarray(scanned, dtype=np.float64)
     hit = np.asarray(hit, dtype=bool)
@@ -171,9 +157,9 @@ class AdjacencyListShared(GraphDataStructure):
             cost_model=cost_model or DEFAULT_COST_MODEL,
             address_space=address_space,
         )
-        self._out = make_vector_store(max_nodes, self.space, "AS.out", "AS")
+        self._out = NativeVectorStore(max_nodes, self.space, "AS.out", self._kernels)
         self._in = (
-            make_vector_store(max_nodes, self.space, "AS.in", "AS")
+            NativeVectorStore(max_nodes, self.space, "AS.in", self._kernels)
             if directed
             else None
         )
@@ -183,47 +169,7 @@ class AdjacencyListShared(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _SharedEmitter:
         return _SharedEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._locked_insert(self._out, src, dst, weight, recorder, lock=src)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._locked_insert(
-            self._in, src, dst, weight, recorder, lock=IN_STORE_LOCK_BASE + src
-        )
-
-    def _locked_insert(self, store, src, dst, weight, recorder, lock) -> Tuple[Task, bool]:
-        outcome = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        # The entire search-and-insert happens under the vertex lock.
-        work = cost.probe_element * outcome.scanned
-        if outcome.inserted:
-            work += cost.insert_slot
-            work += cost.vector_grow_per_element * outcome.grew_from
-        return (
-            Task(unlocked_work=0.0, locked_work=work, lock=lock),
-            outcome.inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._locked_delete(self._out, src, dst, recorder, lock=src)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._locked_delete(
-            self._in, src, dst, recorder, lock=IN_STORE_LOCK_BASE + src
-        )
-
-    def _locked_delete(self, store, src, dst, recorder, lock) -> Tuple[Task, bool]:
-        outcome = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = cost.probe_element * outcome.scanned
-        if outcome.removed:
-            work += cost.insert_slot * (1 + outcome.moved)  # clear + backfill
-        return (
-            Task(unlocked_work=0.0, locked_work=work, lock=lock),
-            outcome.removed,
-        )
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = DynamicScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

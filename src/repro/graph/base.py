@@ -14,13 +14,21 @@ phase latency is the scheduler makespan over the charged tasks.
 Edges are ingested uniquely: as in the paper, every insert first
 searches for the edge and only inserts on a negative search.
 
-Task emission is columnar by default: each structure provides a *task
-emitter* that records the primitive counts of every store operation
-(slots scanned, blocks chased, entries rehashed...) and prices them in
-bulk into a :class:`~repro.sim.tasks.TaskArray` with vectorized
-arithmetic, instead of allocating one ``Task`` object per edge.  The
-legacy object path remains selectable with ``SAGA_BENCH_LEGACY_TASKS=1``
-and produces bit-identical schedules (see ``tests/test_task_kernels.py``).
+Each structure provides a *task emitter* that records the primitive
+counts of every store operation (slots scanned, blocks chased, entries
+rehashed...) and prices them in bulk into a
+:class:`~repro.sim.tasks.TaskArray` with vectorized arithmetic.  The
+counts come from one of two implementations of the update plane:
+
+- the compiled batch-ingest kernel (:mod:`repro.sim.cingest`), which
+  runs a whole untraced batch in one C call -- the fast path;
+- the native stores' per-edge Python twins
+  (:mod:`repro.graph.nativestore`) -- the reference, the traced path
+  (they emit the memory accesses) and the fallback when no compiler is
+  available or ``SAGA_BENCH_NO_CINGEST`` disables the kernel.
+
+Both produce bit-identical counts, graph contents and simulated-memory
+layouts (``tests/test_cingest.py``, ``tests/test_update_plane_golden.py``).
 """
 
 from __future__ import annotations
@@ -37,14 +45,9 @@ from repro.sim.cost_model import CostModel, DEFAULT_COST_MODEL
 from repro.sim.machine import MachineConfig, SKYLAKE_GOLD_6142
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import TRACER
+from repro.sim import cingest
 from repro.sim.memory import AddressSpace
-from repro.sim.scheduler import (
-    ScheduleResult,
-    Task,
-    TaskArray,
-    Tasks,
-    use_legacy_tasks,
-)
+from repro.sim.scheduler import ScheduleResult, TaskArray
 from repro.sim.trace import MemoryTrace, NullRecorder, TraceRecorder
 
 #: Lock-namespace offset separating out-store locks from in-store locks.
@@ -101,49 +104,6 @@ class UpdateResult:
         return machine.cycles_to_seconds(self.latency_cycles)
 
 
-class _ObjectEmitter:
-    """Fallback columnar emitter: runs the object path, boxes at the end.
-
-    Structures that do not define their own emitter still get a
-    :class:`TaskArray` out of the columnar ingest loop -- they just pay
-    the per-edge ``Task`` allocation they would have paid anyway.
-    """
-
-    __slots__ = ("_structure", "_tasks")
-
-    def __init__(self, structure: "GraphDataStructure") -> None:
-        self._structure = structure
-        self._tasks: List[Task] = []
-
-    @property
-    def rows(self) -> int:
-        return len(self._tasks)
-
-    def insert_out(self, src, dst, weight, recorder) -> bool:
-        task, changed = self._structure._insert_out(src, dst, weight, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def insert_in(self, src, dst, weight, recorder) -> bool:
-        task, changed = self._structure._insert_in(src, dst, weight, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def delete_out(self, src, dst, recorder) -> bool:
-        task, changed = self._structure._delete_out(src, dst, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def delete_in(self, src, dst, recorder) -> bool:
-        task, changed = self._structure._delete_in(src, dst, recorder)
-        self._tasks.append(task)
-        return changed
-
-    def finish(self, batch_size: int) -> TaskArray:
-        self._tasks.extend(self._structure._batch_overhead_tasks(batch_size))
-        return TaskArray.from_tasks(self._tasks)
-
-
 def contiguous_traversal_cost(degrees, cost):
     """Vectorized traversal cost of a contiguous neighbor scan.
 
@@ -158,10 +118,10 @@ def contiguous_traversal_cost(degrees, cost):
 class GraphDataStructure(abc.ABC):
     """Base class for the four streaming-graph data structures.
 
-    Subclasses implement single-edge insertion into the out-store and
-    in-store (:meth:`_insert_out` / :meth:`_insert_in`), neighbor
-    retrieval, analytic traversal costs, and the scheduling style used
-    to turn per-edge tasks into a batch-update makespan.
+    Subclasses provide a task emitter over their stores
+    (:meth:`_make_emitter`), neighbor retrieval, analytic traversal
+    costs, and the scheduling style used to turn per-edge tasks into a
+    batch-update makespan.
 
     Parameters
     ----------
@@ -193,6 +153,9 @@ class GraphDataStructure(abc.ABC):
         self.space = address_space if address_space is not None else AddressSpace()
         self._num_edges = 0
         self._max_seen_node = -1
+        #: The compiled ingest kernels, or ``None``: every batch then
+        #: runs the per-edge twins.
+        self._kernels = cingest.get(self.name)
 
     # ------------------------------------------------------------------
     # Mutation
@@ -263,81 +226,25 @@ class GraphDataStructure(abc.ABC):
 
     def _ingest(
         self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[Tasks, int, int]:
-        """Apply ``batch`` to the stores and emit its tasks.
+    ) -> Tuple[TaskArray, int, int]:
+        """Apply ``batch`` to the stores and emit its priced tasks.
 
         Returns ``(tasks, positive, negative)`` where *positive* counts
         edges actually inserted (or removed) and *negative* counts
-        duplicates (or misses).
-        """
-        if use_legacy_tasks():
-            return self._ingest_objects(batch, recorder, delete)
-        return self._ingest_columnar(batch, recorder, delete)
-
-    def _ingest_objects(
-        self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[List[Task], int, int]:
-        """The legacy per-edge object loop (one ``Task`` per operation)."""
-        tasks: List[Task] = []
-        positive = 0
-        negative = 0
-        for i in range(len(batch)):
-            u = int(batch.src[i])
-            v = int(batch.dst[i])
-            self._check_vertex(u)
-            self._check_vertex(v)
-            recorder.begin_task(len(tasks))
-            if delete:
-                task, changed = self._delete_out(u, v, recorder)
-            else:
-                w = float(batch.weight[i])
-                task, changed = self._insert_out(u, v, w, recorder)
-            tasks.append(task)
-            if changed:
-                positive += 1
-                self._num_edges += -1 if delete else 1
-            else:
-                negative += 1
-            if u != v or self.directed:
-                recorder.begin_task(len(tasks))
-                if delete:
-                    if self.directed:
-                        tasks.append(self._delete_in(v, u, recorder)[0])
-                    else:
-                        tasks.append(self._delete_out(v, u, recorder)[0])
-                else:
-                    if self.directed:
-                        tasks.append(self._insert_in(v, u, w, recorder)[0])
-                    else:
-                        tasks.append(self._insert_out(v, u, w, recorder)[0])
-            if not delete:
-                self._max_seen_node = max(self._max_seen_node, u, v)
-        tasks.extend(self._batch_overhead_tasks(len(batch)))
-        return tasks, positive, negative
-
-    def _ingest_columnar(
-        self, batch: EdgeBatch, recorder, delete: bool
-    ) -> Tuple[TaskArray, int, int]:
-        """The columnar hot path: count per edge, price in bulk.
-
-        Store mutation is shared with the object path (same store
-        methods, same call order, same trace); only task materialization
-        differs.  The whole batch is range-checked up front, so an
-        out-of-range vertex raises before any edge is applied (the
-        object path raises mid-batch).
+        duplicates (or misses).  Untraced batches make one fused call
+        into the compiled kernel when it is loaded; traced batches (and
+        every batch without the kernel) run the per-edge loop over the
+        stores' Python twins, whose methods emit the memory accesses.
+        The whole batch is range-checked up front, so an out-of-range
+        vertex raises before any edge is applied.
         """
         n = len(batch)
         self._check_batch(batch)
         emitter = self._make_emitter(delete)
         tracing = recorder.enabled
         directed = self.directed
-        # Untraced batches take the fused bulk loop when the emitter
-        # provides one (store internals inlined, no per-op dispatch);
-        # traced batches keep the per-edge loop, whose store methods
-        # emit the memory accesses.
-        bulk = None if tracing else getattr(emitter, "ingest_batch", None)
-        if bulk is not None:
-            positive = bulk(batch)
+        if self._kernels is not None and not tracing:
+            positive = emitter.ingest_batch(batch)
         elif delete:
             src = batch.src.tolist()
             dst = batch.dst.tolist()
@@ -384,24 +291,7 @@ class GraphDataStructure(abc.ABC):
                 )
         return emitter.finish(n), positive, n - positive
 
-    def _make_emitter(self, delete: bool):
-        """The columnar task emitter for one batch (per structure).
-
-        The default wraps the object path; structures override this
-        with an emitter that records primitive counts and prices them
-        vectorized in ``finish()``.
-        """
-        return _ObjectEmitter(self)
-
-    def _delete_out(self, src: int, dst: int, recorder) -> Tuple[Task, bool]:
-        """Remove ``src -> dst`` from the out-store (per structure)."""
-        raise StructureError(f"{self.name} does not support deletion")
-
-    def _delete_in(self, src: int, dst: int, recorder) -> Tuple[Task, bool]:
-        """Remove ``src -> dst`` from the in-store (per structure)."""
-        raise StructureError(f"{self.name} does not support deletion")
-
-    def schedule_tasks(self, tasks: Tasks, ctx: ExecutionContext) -> ScheduleResult:
+    def schedule_tasks(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Re-schedule kept tasks under a different context.
 
         Tasks depend only on graph content, not on thread count, so one
@@ -544,16 +434,15 @@ class GraphDataStructure(abc.ABC):
     # ------------------------------------------------------------------
 
     @abc.abstractmethod
-    def _insert_out(self, src: int, dst: int, weight: float, recorder) -> Tuple[Task, bool]:
-        """Insert ``src -> dst`` into the out-store.
+    def _make_emitter(self, delete: bool):
+        """The batch's task emitter (per structure).
 
-        Returns the schedulable :class:`Task` for the insert and
-        whether the edge was new (False for a duplicate).
+        An emitter exposes ``insert_out``/``insert_in``/``delete_out``/
+        ``delete_in`` (one per-edge twin operation each, returning
+        whether the store changed), ``ingest_batch(batch)`` (the fused
+        compiled call) and ``finish(batch_size)``, which prices every
+        recorded row into a :class:`TaskArray`.
         """
-
-    @abc.abstractmethod
-    def _insert_in(self, src: int, dst: int, weight: float, recorder) -> Tuple[Task, bool]:
-        """Insert ``src -> dst`` into the in-store (directed only)."""
 
     @abc.abstractmethod
     def _in_neigh_directed(self, u: int) -> Sequence[Tuple[int, float]]:
@@ -568,12 +457,8 @@ class GraphDataStructure(abc.ABC):
         ...
 
     @abc.abstractmethod
-    def _schedule(self, tasks: Tasks, ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         """Turn the batch's tasks into a makespan (structure style)."""
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        """Fixed per-batch overhead tasks (chunked routing etc.)."""
-        return []
 
     # ------------------------------------------------------------------
 

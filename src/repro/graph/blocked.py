@@ -9,8 +9,7 @@ is one it cites.  This module adds a simplified Hornet-like structure:
 - when a segment fills, the vertex **relocates** to a segment of twice
   the capacity (one memcpy, amortized O(1) per insert) and the old
   segment returns to its pool for reuse;
-- duplicate detection uses a per-vertex index (charged as a segment
-  scan, like the adjacency lists);
+- duplicate detection scans the segment, like the adjacency lists;
 - multithreading is chunked and lockless, like AC/DAH.
 
 Compared with the paper's four structures it trades Stinger's
@@ -24,17 +23,17 @@ reproduction pipelines keep using the original four by default.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import StructureError
 from repro.graph.adjacency_chunked import chunk_overhead_array
 from repro.graph.base import ExecutionContext, GraphDataStructure
-from repro.graph.nativestore import make_blocked_store, native_vec_ingest
-from repro.graph.vectorstore import bulk_ingest, row_layout
+from repro.graph.nativestore import NativeBlockedStore, native_vec_ingest
+from repro.graph.vectorstore import row_layout
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, Task, TaskArray
+from repro.sim.scheduler import ChunkedScheduler, ScheduleResult, TaskArray
 
 ENTRY_BYTES = 8
 MIN_SEGMENT = 4
@@ -65,104 +64,6 @@ class _SegmentPool:
 
     def release(self, region: Region) -> None:
         self._free.append(region)
-
-
-class _BlockedStore:
-    """One direction of the blocked adjacency."""
-
-    def __init__(self, max_nodes: int, space: AddressSpace, label: str) -> None:
-        self.max_nodes = max_nodes
-        self.space = space
-        self.label = label
-        self._neighbors: List[List[Tuple[int, float]]] = [[] for _ in range(max_nodes)]
-        self._index: List[Dict[int, int]] = [{} for _ in range(max_nodes)]
-        self._segment: List[Optional[Region]] = [None] * max_nodes
-        self._capacity: List[int] = [0] * max_nodes
-        self._pools: Dict[int, _SegmentPool] = {}
-        self._header = space.alloc(max_nodes * 16, f"{label}.headers")
-
-    def _pool(self, capacity: int) -> _SegmentPool:
-        pool = self._pools.get(capacity)
-        if pool is None:
-            pool = _SegmentPool(capacity, self.space, self.label)
-            self._pools[capacity] = pool
-        return pool
-
-    def insert(self, src: int, dst: int, weight: float, recorder):
-        """Search-then-insert; returns (scanned, inserted, relocated)."""
-        vec = self._neighbors[src]
-        index = self._index[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._header.element(src, 16))
-        existing = index.get(dst)
-        if existing is not None:
-            scanned = existing + 1
-            if tracing and self._segment[src] is not None:
-                recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-            return scanned, False, 0
-        scanned = len(vec)
-        if tracing and self._segment[src] is not None:
-            recorder.access_range(self._segment[src].base, scanned, ENTRY_BYTES)
-        relocated = 0
-        if len(vec) == self._capacity[src]:
-            relocated = self._relocate(src)
-        index[dst] = len(vec)
-        vec.append((dst, weight))
-        if tracing:
-            recorder.access(
-                self._segment[src].element(len(vec) - 1, ENTRY_BYTES), write=True
-            )
-        return scanned, True, relocated
-
-    def _relocate(self, src: int) -> int:
-        """Move ``src`` to a doubled segment; returns entries copied."""
-        old_capacity = self._capacity[src]
-        new_capacity = old_capacity * 2 if old_capacity else MIN_SEGMENT
-        old_segment = self._segment[src]
-        self._segment[src] = self._pool(new_capacity).acquire()
-        self._capacity[src] = new_capacity
-        if old_segment is not None:
-            self._pool(old_capacity).release(old_segment)
-        return len(self._neighbors[src])
-
-    def remove(self, src: int, dst: int, recorder):
-        """Swap-remove; returns (scanned, removed)."""
-        vec = self._neighbors[src]
-        index = self._index[src]
-        position = index.get(dst)
-        if position is None:
-            return len(vec), False
-        last = len(vec) - 1
-        if position != last:
-            vec[position] = vec[last]
-            index[vec[position][0]] = position
-        vec.pop()
-        del index[dst]
-        return position + 1, True
-
-    def _bulk_parts(self):
-        """(neighbors, index, capacity, grow) for :func:`bulk_ingest`."""
-        return self._neighbors, self._index, self._capacity, self._relocate
-
-    def neighbors(self, u: int) -> List[Tuple[int, float]]:
-        return self._neighbors[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._neighbors[u])
-
-    def trace_traversal(self, u: int, recorder) -> None:
-        recorder.access(self._header.element(u, 16))
-        segment = self._segment[u]
-        if segment is not None:
-            recorder.access_range(segment.base, len(self._neighbors[u]), ENTRY_BYTES)
-
-    def pool_stats(self) -> Dict[int, Tuple[int, int]]:
-        """{capacity: (allocations, reuses)} across all pools."""
-        return {
-            capacity: (pool.allocations, pool.reuses)
-            for capacity, pool in sorted(self._pools.items())
-        }
 
 
 class _BlockedEmitter:
@@ -206,29 +107,15 @@ class _BlockedEmitter:
         count is not recorded (``record_moved=False``).
         """
         self._layout = (batch.src, batch.dst)
-        if getattr(self._out, "native", False):
-            positive, self.scanned, self.hit, self.relocated = native_vec_ingest(
-                self._out,
-                self._in if self._directed else self._out,
-                batch,
-                self._directed,
-                self._delete,
-                record_moved=False,
-            )
-            return positive
-        return bulk_ingest(
+        positive, self.scanned, self.hit, self.relocated = native_vec_ingest(
             self._out,
             self._in if self._directed else self._out,
-            batch.src.tolist(),
-            batch.dst.tolist(),
-            None if self._delete else batch.weight.tolist(),
+            batch,
             self._directed,
             self._delete,
-            self.scanned,
-            self.hit,
-            self.relocated,
             record_moved=False,
         )
+        return positive
 
     def insert_out(self, src, dst, weight, recorder) -> bool:
         return self._insert(self._out, src, dst, weight, recorder)
@@ -308,9 +195,9 @@ class BlockedAdjacency(GraphDataStructure):
         if chunks < 1:
             raise StructureError(f"chunks must be >= 1, got {chunks}")
         self.chunks = chunks
-        self._out = make_blocked_store(max_nodes, self.space, "BA.out")
+        self._out = NativeBlockedStore(max_nodes, self.space, "BA.out", self._kernels)
         self._in = (
-            make_blocked_store(max_nodes, self.space, "BA.in")
+            NativeBlockedStore(max_nodes, self.space, "BA.in", self._kernels)
             if directed
             else None
         )
@@ -323,51 +210,7 @@ class BlockedAdjacency(GraphDataStructure):
     def _make_emitter(self, delete: bool) -> _BlockedEmitter:
         return _BlockedEmitter(self, delete)
 
-    def _insert_out(self, src, dst, weight, recorder):
-        return self._blocked_insert(self._out, src, dst, weight, recorder)
-
-    def _insert_in(self, src, dst, weight, recorder):
-        return self._blocked_insert(self._in, src, dst, weight, recorder)
-
-    def _blocked_insert(self, store, src, dst, weight, recorder) -> Tuple[Task, bool]:
-        scanned, inserted, relocated = store.insert(src, dst, weight, recorder)
-        cost = self.cost
-        work = cost.probe_element * scanned
-        if inserted:
-            work += cost.insert_slot
-            # Relocation copies the whole segment (Hornet's memcpy).
-            work += cost.vector_grow_per_element * relocated
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            inserted,
-        )
-
-    def _delete_out(self, src, dst, recorder):
-        return self._blocked_delete(self._out, src, dst, recorder)
-
-    def _delete_in(self, src, dst, recorder):
-        return self._blocked_delete(self._in, src, dst, recorder)
-
-    def _blocked_delete(self, store, src, dst, recorder) -> Tuple[Task, bool]:
-        scanned, removed = store.remove(src, dst, recorder)
-        cost = self.cost
-        work = cost.probe_element * scanned
-        if removed:
-            work += 2 * cost.insert_slot
-        return (
-            Task(unlocked_work=work, chunk=self.chunk_of(src)),
-            removed,
-        )
-
-    def _batch_overhead_tasks(self, batch_size: int) -> List[Task]:
-        directions = 2
-        route = self.cost.route_edge * batch_size * directions
-        return [
-            Task(unlocked_work=route, chunk=c, overhead=True)
-            for c in range(self.chunks)
-        ]
-
-    def _schedule(self, tasks: List[Task], ctx: ExecutionContext) -> ScheduleResult:
+    def _schedule(self, tasks: TaskArray, ctx: ExecutionContext) -> ScheduleResult:
         scheduler = ChunkedScheduler(
             threads=ctx.threads,
             physical_cores=ctx.machine.physical_cores,

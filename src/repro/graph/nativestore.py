@@ -1,27 +1,25 @@
-"""Numpy-backed stores driven by the compiled ingest kernels.
+"""The update plane's stores: numpy state, compiled and Python mutators.
 
-Each plain Python store (``VectorStore``, ``_BlockedStore``, the
-Stinger block store, DAH's tracked hash tables) has a *native* twin
-here whose state lives in flat numpy arrays so the C kernels in
-:mod:`repro.sim.cingest` can mutate it directly.  A native store
-implements the exact same interface as its plain twin -- the per-edge
-``insert``/``remove`` used by traced batches and the legacy object
-path, neighbor/degree queries, traversal tracing, and the internal
-accounting the tests poke (segment pools, capacities) -- with
-bit-identical outcomes, trace addresses, and simulated-memory layout.
+Each data structure's storage -- the AS/AC vectors, BA's pooled
+segments, Stinger's linked edge blocks, DAH's degree-aware hash tables
+-- lives here in flat numpy arrays, and has exactly two mutators that
+produce identical outcomes, trace addresses and simulated-memory
+layouts:
 
-The fused batch path (``native_vec_ingest``) hands the whole batch to
-the C kernel and returns the same count columns the Python
-``bulk_ingest`` loop appends.  Simulated-memory accounting stays in
-Python: the kernel logs one event per allocation-changing operation
-(vector growth, segment relocation) and the store replays the log in
-order after the call, so ``AddressSpace`` layout and segment-pool
-statistics match the per-edge path exactly.
+- the compiled batch kernels in :mod:`repro.sim.cingest`, reached
+  through ``native_vec_ingest``, ``native_stinger_ingest`` and
+  ``native_dah_ingest``: one C call runs a whole untraced batch and
+  returns the per-operation count columns the emitters price;
+- the per-edge Python *twins* (each store's ``insert``/``remove``):
+  the readable reference, the traced path (they emit the memory
+  accesses) and the fallback when the kernels are not built
+  (``kernels=None``).
 
-Store construction goes through the ``make_*_store`` factories: the
-plain store is returned when the kernels are unavailable, the
-structure is disabled via ``SAGA_BENCH_NO_CINGEST``, or the legacy
-object path is active (keeping the legacy baseline's timing honest).
+Simulated-memory accounting stays in Python either way: the kernel
+logs one event per allocation-changing operation (vector growth,
+segment relocation, block alloc/free, table resize) and the store
+replays the log in order after the call, so ``AddressSpace`` layout
+and segment-pool statistics match the per-edge path exactly.
 """
 
 from __future__ import annotations
@@ -36,15 +34,17 @@ from repro.graph.vectorstore import (
     INITIAL_CAPACITY,
     InsertOutcome,
     RemoveOutcome,
-    VectorStore,
 )
 from repro.obs.tracer import TRACER
 from repro.sim import cingest
 from repro.sim.memory import AddressSpace, Region
-from repro.sim.scheduler import use_legacy_tasks
 
 #: Initial per-store entry pool; doubled on demand (kernel stall).
 INITIAL_POOL = 1 << 14
+
+#: Fibonacci hashing multiplier and 64-bit wrap mask of DAH's tables.
+_HASH_MULT = 0x9E3779B97F4A7C15
+_HASH_WRAP = 0xFFFFFFFFFFFFFFFF
 
 
 class _PooledVectorState:
@@ -52,10 +52,8 @@ class _PooledVectorState:
     vector-family native stores (AS/AC vectors and BA segments have the
     same mutation semantics; only growth *accounting* differs)."""
 
-    native = True
-
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
-                 kernels: cingest.IngestKernels) -> None:
+                 kernels: Optional[cingest.IngestKernels] = None) -> None:
         self.max_nodes = max_nodes
         self.space = space
         self.label = label
@@ -135,9 +133,15 @@ class _PooledVectorState:
 
 
 class NativeVectorStore(_PooledVectorState):
-    """Kernel-backed twin of :class:`~repro.graph.vectorstore.VectorStore`."""
+    """One direction of the AS/AC adjacency: per-vertex growable vectors.
 
-    def __init__(self, max_nodes, space, label, kernels) -> None:
+    Functionally a ``vertex -> [(neighbor, weight), ...]`` map with
+    unique neighbors.  The *charged* cost of a search is the linear
+    scan a contiguous C++ vector would perform, and the emitted trace
+    walks the vector's simulated addresses.
+    """
+
+    def __init__(self, max_nodes, space, label, kernels=None) -> None:
         super().__init__(max_nodes, space, label, kernels)
         self._region: List[Optional[Region]] = [None] * max_nodes
         self._vec_label = f"{label}.vec"
@@ -221,9 +225,9 @@ class NativeVectorStore(_PooledVectorState):
 
 
 class NativeBlockedStore(_PooledVectorState):
-    """Kernel-backed twin of BA's ``_BlockedStore`` (pooled segments)."""
+    """One direction of BA: contiguous segments from power-of-two pools."""
 
-    def __init__(self, max_nodes, space, label, kernels) -> None:
+    def __init__(self, max_nodes, space, label, kernels=None) -> None:
         super().__init__(max_nodes, space, label, kernels)
         # Imported lazily to dodge the blocked -> nativestore cycle.
         from repro.graph.blocked import _SegmentPool
@@ -305,7 +309,7 @@ class NativeBlockedStore(_PooledVectorState):
 
 
 class NativeStingerStore:
-    """Kernel-backed twin of ``_StingerStore`` (linked edge blocks).
+    """One direction of Stinger: per-vertex lists of 16-edge blocks.
 
     Blocks live in a flat pool (block id == pool slot; ids are never
     reused, so the pool cursor doubles as ``_next_block_id``), each
@@ -314,14 +318,13 @@ class NativeStingerStore:
     per-edge path emits -- are kept in a Python list indexed by id.
     """
 
-    native = True
-
     #: Initial pool sizes (doubled on demand via kernel stalls).
     INITIAL_BIDS = 1 << 12
     INITIAL_BLOCKS = 256
 
     def __init__(self, max_nodes: int, space: AddressSpace, label: str,
-                 lock_base: int, kernels: cingest.IngestKernels) -> None:
+                 lock_base: int,
+                 kernels: Optional[cingest.IngestKernels] = None) -> None:
         from repro.graph.stinger import BLOCK_BYTES, VERTEX_ENTRY_BYTES
 
         self.max_nodes = max_nodes
@@ -389,7 +392,7 @@ class NativeStingerStore:
         else:  # tail block freed
             self.space.free(self._regions[block_id])
 
-    # -- per-edge twin (traced batches and the legacy object path) -----
+    # -- per-edge twin -------------------------------------------------
 
     def _find_edge(self, u: int, dst: int) -> Tuple[int, int, int]:
         """(block index, slot, probes before the block); (-1,-1,deg) miss."""
@@ -579,40 +582,13 @@ class NativeStingerStore:
         recorder.access(self._vertex_array.element(u, VERTEX_ENTRY_BYTES))
         self._trace_scan(u, int(self._bcnt[u]), recorder)
 
-    @property
-    def _blocks(self):
-        """Per-vertex ``_EdgeBlock`` views (plain-store debug shape)."""
-        from repro.graph.stinger import _EdgeBlock
-
-        result = []
-        for u in range(self.max_nodes):
-            boff = int(self._boff[u])
-            vertex_blocks = []
-            for k in range(int(self._bcnt[u])):
-                bid = int(self._bids[boff + k])
-                length = int(self._blen[bid])
-                vertex_blocks.append(
-                    _EdgeBlock(
-                        bid,
-                        self._regions[bid],
-                        list(
-                            zip(
-                                self._bnbr[bid * 16:bid * 16 + length].tolist(),
-                                self._bwgt[bid * 16:bid * 16 + length].tolist(),
-                            )
-                        ),
-                    )
-                )
-            result.append(vertex_blocks)
-        return result
-
 
 def native_stinger_ingest(out_store, in_store, batch, directed, delete):
     """Fused batch ingest through the compiled Stinger kernel.
 
     Returns ``(positive, chases, probes, space, hit, new_block, lock)``
-    with the columns as numpy arrays matching the fused Python loop
-    row for row; block alloc/free events replay in call order so the
+    with the columns as numpy arrays matching the per-edge twins row
+    for row; block alloc/free events replay in call order so the
     simulated address space lays out identically.
     """
     from repro.sim.scheduler import NO_LOCK
@@ -665,11 +641,13 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
                       record_moved=True):
     """Fused batch ingest through the compiled vector kernel.
 
-    Operation for operation equivalent to ``bulk_ingest`` -- same store
-    mutations in the same order, same scanned/hit/aux rows, same
+    Operation for operation equivalent to the per-edge twins -- same
+    store mutations in the same order, same scanned/hit/aux rows, same
     simulated-memory layout (growth events replayed in call order).
-    Returns ``(positive, scanned, hit, aux)`` with the columns as numpy
-    arrays, ready for the emitters' vectorized pricing.
+    ``aux`` is grew_from (insert) or moved (delete; always 0 when
+    ``record_moved`` is false, for stores that do not price backfill
+    moves).  Returns ``(positive, scanned, hit, aux)`` with the columns
+    as numpy arrays, ready for the emitters' vectorized pricing.
     """
     kernels = out_store._kernels
     n = len(batch)
@@ -709,7 +687,7 @@ def native_vec_ingest(out_store, in_store, batch, directed, delete,
 
 
 class _NativeNeighborSetView:
-    """``_NeighborSet``-shaped view over one native hashed set."""
+    """The hashed neighbor set of one high-degree DAH vertex."""
 
     __slots__ = ("_store", "_sid")
 
@@ -732,19 +710,18 @@ class _NativeNeighborSetView:
 
 
 class NativeDAHStore:
-    """Kernel-backed twin of ``_DAHStore`` (degree-aware hashing).
+    """One direction of DAH: degree-aware hashing.
 
     Per-chunk Robin Hood low tables and open-address high tables live
     as spans in flat key/value arenas; low-table values are ids into a
     fixed-width inline-neighbor pool, high-table values are ids into a
-    neighbor-set arena.  Table resizes bump-allocate a doubled span
-    (old spans leak -- the arenas are backing storage, not the
-    simulated memory, whose regions are replayed from the event log
-    with the exact labels and free-then-alloc order of
-    ``_TrackedTable._sync_region``).
+    neighbor-set arena.  Every table grows by doubling once its load
+    would exceed 0.7.  Table resizes bump-allocate a doubled span (old
+    spans leak -- the arenas are backing storage, not the simulated
+    memory, whose regions are freed and re-allocated with the same
+    labels on every resize, by the twins inline and by the event-log
+    replay after a kernel call).
     """
-
-    native = True
 
     EMPTY = -1
     TOMB = -2
@@ -754,7 +731,8 @@ class NativeDAHStore:
     SET_INIT = 32
 
     def __init__(self, max_nodes: int, chunks: int, space: AddressSpace,
-                 label: str, kernels: cingest.IngestKernels) -> None:
+                 label: str,
+                 kernels: Optional[cingest.IngestKernels] = None) -> None:
         from repro.graph.dah import HIGH_SLOT_BYTES, LOW_SLOT_BYTES
 
         self.max_nodes = max_nodes
@@ -792,8 +770,8 @@ class NativeDAHStore:
         self._state = np.zeros(6, dtype=np.int64)
         self._state[0] = low_span
         self._state[1] = high_span
-        # Same region-allocation order as the plain store: every low
-        # table, then every high table.
+        # Region-allocation order: every low table, then every high
+        # table.
         self._low_regions = [
             space.alloc(self.LOW_INIT * LOW_SLOT_BYTES, f"{label}.low{c}")
             for c in range(chunks)
@@ -896,14 +874,11 @@ class NativeDAHStore:
             )
 
     # -- per-edge twin: table primitives -------------------------------
-    # Probe paths and slot layouts replicate hashtables.py expression
-    # for expression (Python ints throughout -- the hash multiply must
-    # not wrap at 64 bits the numpy way before masking).
+    # Python ints throughout: the hash multiply must not wrap at 64
+    # bits the numpy way before masking.
 
     @staticmethod
     def _hash(key: int, mask: int) -> int:
-        from repro.graph.hashtables import _HASH_MULT, _HASH_WRAP
-
         return ((key * _HASH_MULT & _HASH_WRAP) >> 17) & mask
 
     def _oa_get_path(self, keys, off: int, cap: int, key: int):
@@ -1133,6 +1108,19 @@ class NativeDAHStore:
         self._ssize[sid] += 1
         return path, moved
 
+    def _set_delete(self, sid: int, key: int):
+        """Tombstone ``key`` in a neighbor set; returns (found, path)."""
+        off = int(self._soff[sid])
+        gslot, path = self._oa_get_path(
+            self._skeys, off, int(self._scap[sid]), key
+        )
+        if gslot is None:
+            return False, path
+        self._skeys[off + gslot] = self.TOMB
+        self._swgt[off + gslot] = 0.0
+        self._ssize[sid] -= 1
+        return True, path
+
     def _new_set(self) -> int:
         from repro.graph.dah import NEIGHBOR_SLOT_BYTES
 
@@ -1313,22 +1301,14 @@ class NativeDAHStore:
         self._trace_path(self._high_regions[c], HIGH_SLOT_BYTES, path, recorder)
         if hslot is not None:
             sid = int(self._hval[int(self._hoff[c]) + hslot])
-            off = int(self._soff[sid])
-            gslot, path = self._oa_get_path(
-                self._skeys, off, int(self._scap[sid]), dst
-            )
+            found, path = self._set_delete(sid, dst)
             stats.hash_ops += 1
             stats.table_probes += len(path)
-            found = gslot is not None
             self._trace_path(
                 self._set_regions[sid], NEIGHBOR_SLOT_BYTES, path, recorder,
                 write_last=found,
             )
-            if found:
-                self._skeys[off + gslot] = self.TOMB
-                self._swgt[off + gslot] = 0.0
-                self._ssize[sid] -= 1
-                stats.inserted = True
+            stats.inserted = found
             return stats
 
         stats.degree_queries += 1
@@ -1509,42 +1489,3 @@ def native_dah_ingest(out_store, in_store, batch, directed, delete):
         int(ctl[3]), table_probes, hash_ops, inline_scanned,
         degree_queries, flushed, rehash_moves, hit, chunk,
     )
-
-
-def make_vector_store(max_nodes, space, label, structure):
-    """A kernel-backed vector store, or the plain one when gated off."""
-    kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
-        return NativeVectorStore(max_nodes, space, label, kernels)
-    return VectorStore(max_nodes, space, label)
-
-
-def make_blocked_store(max_nodes, space, label, structure="BA"):
-    """A kernel-backed blocked store, or the plain one when gated off."""
-    from repro.graph.blocked import _BlockedStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
-        return NativeBlockedStore(max_nodes, space, label, kernels)
-    return _BlockedStore(max_nodes, space, label)
-
-
-def make_stinger_store(max_nodes, space, label, lock_base,
-                       structure="Stinger"):
-    """A kernel-backed Stinger store, or the plain one when gated off."""
-    from repro.graph.stinger import _StingerStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
-        return NativeStingerStore(max_nodes, space, label, lock_base, kernels)
-    return _StingerStore(max_nodes, space, label, lock_base)
-
-
-def make_dah_store(max_nodes, chunks, space, label, structure="DAH"):
-    """A kernel-backed DAH store, or the plain one when gated off."""
-    from repro.graph.dah import _DAHStore
-
-    kernels = cingest.get(structure)
-    if kernels is not None and not use_legacy_tasks():
-        return NativeDAHStore(max_nodes, chunks, space, label, kernels)
-    return _DAHStore(max_nodes, chunks, space, label)

@@ -1,21 +1,19 @@
-"""Shared internals of the two adjacency-list structures (AS and AC).
+"""Layout constants and outcome records of the vector-family stores.
 
-Both structures store, per vertex, a contiguous growable vector of
+AS and AC store, per vertex, a contiguous growable vector of
 ``(neighbor, weight)`` entries; they differ only in multithreading
-style (per-vertex locks vs lockless chunks).  :class:`VectorStore`
-implements the storage, duplicate detection, growth accounting, and
-memory-trace emission once, and reports the primitive counts of each
-operation so each structure can price them with the shared cost model.
+style (per-vertex locks vs lockless chunks).  The store itself is
+:class:`~repro.graph.nativestore.NativeVectorStore`; this module holds
+its byte layout, the primitive counts each operation reports for
+pricing, and :func:`row_layout`, which rebuilds per-row columns of a
+fused batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-
-from repro.sim.memory import AddressSpace, Region
 
 #: Bytes of one (neighbor, weight) entry: 4B id + 4B weight, packed.
 ENTRY_BYTES = 8
@@ -43,241 +41,6 @@ class RemoveOutcome:
     scanned: int  # entries compared during the search scan
     removed: bool  # False when the edge was absent
     moved: int  # entries moved to close the hole (swap-remove: 0 or 1)
-
-
-class VectorStore:
-    """Array-of-vectors storage for one direction of adjacency.
-
-    Functionally a ``vertex -> [(neighbor, weight), ...]`` map with
-    unique neighbors.  Membership checks use a per-vertex index dict
-    (so the Python implementation is O(1)), but the *charged* cost is
-    the linear scan a contiguous C++ vector would perform, and the
-    emitted trace walks the vector's real simulated addresses.
-    """
-
-    def __init__(self, max_nodes: int, space: AddressSpace, label: str) -> None:
-        self.max_nodes = max_nodes
-        self.space = space
-        self.label = label
-        self._neighbors: List[List[Tuple[int, float]]] = [[] for _ in range(max_nodes)]
-        self._position: List[Dict[int, int]] = [{} for _ in range(max_nodes)]
-        self._capacity: List[int] = [0] * max_nodes
-        self._region: List[Optional[Region]] = [None] * max_nodes
-        self._header = space.alloc(max_nodes * HEADER_BYTES, f"{label}.headers")
-        self._vec_label = f"{label}.vec"
-
-    def insert(self, src: int, dst: int, weight: float, recorder) -> InsertOutcome:
-        """Search for ``src -> dst`` and insert it if absent."""
-        vec = self._neighbors[src]
-        index = self._position[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._header.element(src, HEADER_BYTES))
-        existing = index.get(dst)
-        if existing is not None:
-            scanned = existing + 1
-            if tracing:
-                self._trace_scan(src, scanned, recorder)
-            return InsertOutcome(scanned=scanned, inserted=False, grew_from=0)
-        scanned = len(vec)
-        if tracing:
-            self._trace_scan(src, scanned, recorder)
-        grew_from = 0
-        if len(vec) == self._capacity[src]:
-            grew_from = self._grow(src)
-        index[dst] = len(vec)
-        vec.append((dst, weight))
-        if tracing and self._region[src] is not None:
-            recorder.access(
-                self._region[src].element(len(vec) - 1, ENTRY_BYTES), write=True
-            )
-        return InsertOutcome(scanned=scanned, inserted=True, grew_from=grew_from)
-
-    def _grow(self, src: int) -> int:
-        """Double ``src``'s vector capacity; returns elements moved."""
-        old_len = len(self._neighbors[src])
-        capacity = self._capacity[src]
-        new_capacity = capacity * 2 if capacity else INITIAL_CAPACITY
-        old_region = self._region[src]
-        self._region[src] = self.space.alloc(
-            new_capacity * ENTRY_BYTES, self._vec_label
-        )
-        if old_region is not None:
-            self.space.free(old_region)
-        self._capacity[src] = new_capacity
-        return old_len
-
-    def _trace_scan(self, src: int, count: int, recorder) -> None:
-        region = self._region[src]
-        if region is None or count == 0:
-            return
-        recorder.access_range(region.base, min(count, len(self._neighbors[src])), ENTRY_BYTES)
-
-    def remove(self, src: int, dst: int, recorder) -> RemoveOutcome:
-        """Search for ``src -> dst`` and swap-remove it if present.
-
-        The last entry moves into the vacated slot, keeping the vector
-        dense (the standard unordered-vector deletion).
-        """
-        vec = self._neighbors[src]
-        index = self._position[src]
-        tracing = recorder.enabled
-        if tracing:
-            recorder.access(self._header.element(src, HEADER_BYTES))
-        position = index.get(dst)
-        if position is None:
-            scanned = len(vec)
-            if tracing:
-                self._trace_scan(src, scanned, recorder)
-            return RemoveOutcome(scanned=scanned, removed=False, moved=0)
-        scanned = position + 1
-        if tracing:
-            self._trace_scan(src, scanned, recorder)
-        last = len(vec) - 1
-        moved = 0
-        if position != last:
-            vec[position] = vec[last]
-            index[vec[position][0]] = position
-            moved = 1
-            if tracing and self._region[src] is not None:
-                recorder.access(
-                    self._region[src].element(position, ENTRY_BYTES), write=True
-                )
-        vec.pop()
-        del index[dst]
-        return RemoveOutcome(scanned=scanned, removed=True, moved=moved)
-
-    def _bulk_parts(self):
-        """(neighbors, index, capacity, grow) for :func:`bulk_ingest`."""
-        return self._neighbors, self._position, self._capacity, self._grow
-
-    def neighbors(self, u: int) -> List[Tuple[int, float]]:
-        return self._neighbors[u]
-
-    def degree(self, u: int) -> int:
-        return len(self._neighbors[u])
-
-    def trace_traversal(self, u: int, recorder) -> None:
-        """Emit the accesses of one full traversal of ``u``'s vector."""
-        recorder.access(self._header.element(u, HEADER_BYTES))
-        region = self._region[u]
-        if region is not None:
-            recorder.access_range(region.base, len(self._neighbors[u]), ENTRY_BYTES)
-
-    @property
-    def header_region(self) -> Region:
-        return self._header
-
-
-def bulk_ingest(
-    out_store,
-    in_store,
-    src,
-    dst,
-    weight,
-    directed,
-    delete,
-    scanned,
-    hit,
-    aux,
-    record_moved=True,
-):
-    """Fused, untraced ingest of one whole batch into a store pair.
-
-    Operation for operation equivalent to the per-edge emitter loop
-    with a disabled recorder -- same store mutations in the same order,
-    same scanned/hit/aux rows -- with the method dispatch, per-op
-    outcome objects, and tracing branches removed.  ``in_store`` is the
-    out-store itself for undirected graphs (both orientations land in
-    one store, and the mirror op is skipped for self-loops).  ``aux``
-    receives grew_from (insert) or moved (delete; always 0 when
-    ``record_moved`` is false, for stores that do not price backfill
-    moves).  Returns the number of out-store operations that changed
-    the store.
-    """
-    o_neighbors, o_index, o_capacity, o_grow = out_store._bulk_parts()
-    i_neighbors, i_index, i_capacity, i_grow = in_store._bulk_parts()
-    append_scanned = scanned.append
-    append_hit = hit.append
-    append_aux = aux.append
-    positive = 0
-    if delete:
-        for u, v in zip(src, dst):
-            vec = o_neighbors[u]
-            index = o_index[u]
-            position = index.get(v)
-            if position is None:
-                append_scanned(len(vec))
-                append_hit(False)
-                append_aux(0)
-            else:
-                append_scanned(position + 1)
-                last = len(vec) - 1
-                moved = 0
-                if position != last:
-                    vec[position] = vec[last]
-                    index[vec[position][0]] = position
-                    moved = 1
-                vec.pop()
-                del index[v]
-                append_hit(True)
-                append_aux(moved if record_moved else 0)
-                positive += 1
-            if u != v or directed:
-                vec = i_neighbors[v]
-                index = i_index[v]
-                position = index.get(u)
-                if position is None:
-                    append_scanned(len(vec))
-                    append_hit(False)
-                    append_aux(0)
-                else:
-                    append_scanned(position + 1)
-                    last = len(vec) - 1
-                    moved = 0
-                    if position != last:
-                        vec[position] = vec[last]
-                        index[vec[position][0]] = position
-                        moved = 1
-                    vec.pop()
-                    del index[u]
-                    append_hit(True)
-                    append_aux(moved if record_moved else 0)
-    else:
-        for u, v, w in zip(src, dst, weight):
-            index = o_index[u]
-            position = index.get(v)
-            if position is not None:
-                append_scanned(position + 1)
-                append_hit(False)
-                append_aux(0)
-            else:
-                vec = o_neighbors[u]
-                length = len(vec)
-                append_scanned(length)
-                grew = o_grow(u) if length == o_capacity[u] else 0
-                index[v] = length
-                vec.append((v, w))
-                append_hit(True)
-                append_aux(grew)
-                positive += 1
-            if u != v or directed:
-                index = i_index[v]
-                position = index.get(u)
-                if position is not None:
-                    append_scanned(position + 1)
-                    append_hit(False)
-                    append_aux(0)
-                else:
-                    vec = i_neighbors[v]
-                    length = len(vec)
-                    append_scanned(length)
-                    grew = i_grow(v) if length == i_capacity[v] else 0
-                    index[u] = length
-                    vec.append((u, w))
-                    append_hit(True)
-                    append_aux(grew)
-    return positive
 
 
 def row_layout(src, dst, directed):

@@ -161,7 +161,12 @@ def _section(title: str, body: str) -> str:
 def _meta_section(meta: Dict[str, object], metrics) -> str:
     rows = [(str(k), str(v)) for k, v in (meta or {}).items()]
     if metrics is not None:
-        for gauge in ("ckernel_loaded", "ingest_ckernel_loaded", "compute_threads"):
+        for gauge in (
+            "ckernel_loaded",
+            "ingest_ckernel_loaded",
+            "sim_ckernel_loaded",
+            "compute_threads",
+        ):
             try:
                 value = metrics.value(gauge)
             except ValueError:

@@ -12,7 +12,7 @@ interpreter overhead), so this subpackage provides a deterministic
 - :mod:`repro.sim.cost_model` -- abstract per-operation cycle costs that
   data structures charge while executing.
 - :mod:`repro.sim.scheduler` -- a discrete-event, lock-aware thread
-  scheduler that turns per-operation task lists into a parallel
+  scheduler that turns per-operation task arrays into a parallel
   makespan (the simulated phase latency).
 - :mod:`repro.sim.memory` / :mod:`repro.sim.trace` -- a synthetic
   address space and a memory-access trace recorder.
@@ -32,9 +32,7 @@ from repro.sim.scheduler import (
     ChunkedScheduler,
     DynamicScheduler,
     ScheduleResult,
-    Task,
     TaskArray,
-    use_legacy_tasks,
 )
 from repro.sim.trace import MemoryTrace, TraceRecorder
 
@@ -55,9 +53,7 @@ __all__ = [
     "ScheduleResult",
     "SetAssociativeCache",
     "SKYLAKE_GOLD_6142",
-    "Task",
     "TaskArray",
     "TraceRecorder",
     "derive_counters",
-    "use_legacy_tasks",
 ]

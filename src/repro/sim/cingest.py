@@ -1,15 +1,15 @@
 """Compiled C batch-ingest kernels for the update phase.
 
-PR 2 made the update phase columnar: the five data structures ingest a
-whole batch in one fused Python loop (``bulk_ingest`` and friends)
-instead of one ``Task`` object per edge.  That loop is still
-interpreted; this module compiles it.  Each structure family gets one C
-kernel that runs the *entire* batch -- duplicate scans, slot writes,
-segment relocations, block chases, hash probes -- over numpy-backed
-store state, returning the same per-operation count columns the Python
-loop appends (scanned/hit/aux...), which the emitters then price with
-the existing vectorized arithmetic.  Results are bit-identical to both
-the fused numpy path and the legacy object path.
+The update plane has two implementations per data structure: the
+per-edge Python twins of the stores in :mod:`repro.graph.nativestore`
+(the reference, the traced path and the fallback) and the kernels
+compiled here -- the fast path.  Each structure family gets one C
+kernel that runs an *entire* untraced batch -- duplicate scans, slot
+writes, segment relocations, block chases, hash probes -- over the
+stores' numpy-backed state, returning the same per-operation count
+columns the twins report (scanned/hit/aux...), which the emitters then
+price with vectorized arithmetic.  Results are bit-identical to the
+twins.
 
 The kernels mutate raw arrays, but simulated-memory accounting
 (``AddressSpace`` regions, segment pools, table regions) stays in
@@ -26,15 +26,18 @@ Environment gates (mirroring :mod:`repro.compute.ckernels`):
 
 - ``SAGA_BENCH_NO_CINGEST=1`` (or ``all``) disables every structure;
   a comma list (``SAGA_BENCH_NO_CINGEST=DAH,Stinger``) disables only
-  those structures, which then construct the plain Python stores.
+  those structures, which then ingest every batch through the Python
+  twins.
 - ``SAGA_BENCH_REQUIRE_CINGEST=1`` turns a failed build into a hard
-  error instead of a silent fallback.
+  error.  Without it a failed build emits one ``RuntimeWarning`` naming
+  the error and every structure falls back to the twins.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
+import warnings
 from typing import FrozenSet, Optional
 
 import numpy as np
@@ -45,7 +48,7 @@ from repro.sim.cbuild import load_library
 #: structure names (see :data:`STRUCTURE_NAMES`).
 DISABLE_ENV = "SAGA_BENCH_NO_CINGEST"
 
-#: When set, a failed build raises instead of falling back to Python.
+#: When set, a failed build raises instead of falling back to the twins.
 REQUIRE_ENV = "SAGA_BENCH_REQUIRE_CINGEST"
 
 #: Structures with a compiled ingest kernel.
@@ -65,7 +68,7 @@ _SOURCE = r"""
  * per-vertex (offset, length, capacity) arrays.  A vertex's vector is
  * pool[off .. off+len); growth bump-allocates a doubled span at the
  * pool cursor (state[0]) and copies -- mirroring the alloc-then-free
- * (AS/AC) or pool-acquire-then-release (BA) of the Python stores,
+ * (AS/AC) or pool-acquire-then-release (BA) of the Python twins,
  * which is replayed from the event log: one (mirror, vertex, newcap)
  * triple per growth.
  *
@@ -602,7 +605,7 @@ static int64_t low_put(DahStore *s, int64_t c, int64_t key, int64_t val,
         int64_t ocap = s->lcap[c], ooff = s->loff[c];
         int64_t ncap = ocap * 2, noff = s->state[0];
         for (int64_t i = 0; i < ncap; i++) s->lkeys[noff + i] = DAH_EMPTY;
-        /* Slot-order rehash, as Python's _snapshot + _raw_insert. */
+        /* Slot-order rehash, as the Python twin's _rh_raw_insert loop. */
         for (int64_t i = 0; i < ocap; i++) {
             int64_t k = s->lkeys[ooff + i];
             if (k == DAH_EMPTY) continue;
@@ -1190,6 +1193,13 @@ def _probe() -> Optional[IngestKernels]:
                 f"{REQUIRE_ENV} is set but the ingest kernels failed to "
                 f"build: {exc}"
             ) from exc
+        warnings.warn(
+            f"compiled ingest kernels unavailable ({type(exc).__name__}: "
+            f"{exc}); every batch falls back to the per-edge Python twins "
+            f"and runs several times slower",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         _kernels = None
     return _kernels
 
@@ -1198,9 +1208,8 @@ def get(structure: str) -> Optional[IngestKernels]:
     """The compiled kernels if ``structure``'s ingest is enabled.
 
     ``structure`` must be one of :data:`STRUCTURE_NAMES`; each data
-    structure gates its native store on its own name so individual
-    structures can fall back to the Python stores for differential
-    debugging.
+    structure looks up its own name, so individual structures can fall
+    back to the Python twins for differential debugging.
     """
     kernels = _probe()
     if kernels is None or structure in _disabled:

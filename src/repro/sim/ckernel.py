@@ -6,8 +6,8 @@ contiguous float64/int64 columns, so it can be compiled once with the
 system C compiler and called through :mod:`ctypes` -- no third-party
 build machinery, no new Python dependencies.
 
-The kernel is a strict drop-in for the Python loop in
-``DynamicScheduler._run_array_event_loop``:
+The kernel is a strict drop-in for the reference Python loop,
+``repro.sim.scheduler._python_event_loop``:
 
 - the float arithmetic is adds/subtracts written in the identical
   order (there are no multiply-adds for the compiler to contract, and
@@ -17,9 +17,11 @@ The kernel is a strict drop-in for the Python loop in
   pairs, and pops of such a heap always yield the minimum regardless
   of internal arrangement, so the schedule cannot diverge.
 
-Availability is best-effort: if no C compiler is present, the build
-fails, or ``SAGA_BENCH_NO_CKERNEL=1`` is set, :func:`get_kernel`
-returns ``None`` and the scheduler silently uses the Python loop.
+Availability is best-effort: if no C compiler is present or the build
+fails, :func:`get_kernel` emits one ``RuntimeWarning`` naming the
+error and returns ``None``, and the scheduler uses the Python loop;
+``SAGA_BENCH_NO_CKERNEL=1`` selects the Python loop on purpose, without
+a warning.
 The compiled object is cached under a content-hashed filename (in
 ``SAGA_BENCH_CKERNEL_DIR`` or the system temp dir), so the compiler
 runs at most once per source revision per machine.
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import warnings
 from typing import Optional
 
 from repro.sim.cbuild import CACHE_DIR_ENV, load_library
@@ -46,7 +49,7 @@ _SOURCE = r"""
 
 /* Discrete-event scheduler loop over columnar task streams.
  *
- * Mirrors DynamicScheduler._run_array_event_loop operation for
+ * Mirrors the scheduler's reference Python loop operation for
  * operation: same IEEE float64 adds/subtracts in the same order, and
  * a binary min-heap of (end, thread) pairs under the lexicographic
  * order Python's tuple comparison uses.  `locks` holds dense lock ids
@@ -179,7 +182,14 @@ def get_kernel():
         return None
     try:
         _kernel = _load()
-    except Exception:
+    except Exception as exc:
+        warnings.warn(
+            f"compiled scheduler event loop unavailable ({type(exc).__name__}: "
+            f"{exc}); dynamic schedules fall back to the Python loop and run "
+            f"several times slower",
+            RuntimeWarning,
+            stacklevel=2,
+        )
         _kernel = None
     return _kernel
 

@@ -361,7 +361,7 @@ class StreamDriver:
         sim_clocks: Dict[str, float] = {}
         if METRICS.enabled:
             from repro.compute import ckernels
-            from repro.sim import cingest
+            from repro.sim import cingest, ckernel
 
             METRICS.gauge(
                 "compute_threads", "threads the fused INC round runs on"
@@ -374,6 +374,10 @@ class StreamDriver:
                 "ingest_ckernel_loaded",
                 "1 when the compiled batch-ingest kernels are active",
             ).set(1.0 if cingest.loaded() else 0.0)
+            METRICS.gauge(
+                "sim_ckernel_loaded",
+                "1 when the compiled scheduler event loop is active",
+            ).set(1.0 if ckernel.get_kernel() is not None else 0.0)
         # One CSR maintainer for the whole run: repetitions reset it in
         # place instead of reallocating the heap arrays.
         maintainer = (

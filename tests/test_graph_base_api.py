@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StructureError
 from repro.graph import EdgeBatch, ExecutionContext, make_structure
-from repro.graph.base import GraphDataStructure, UpdateResult
+from repro.graph.base import UpdateResult
 from repro.sim.machine import SKYLAKE_GOLD_6142
 from repro.sim.trace import NullRecorder, TraceRecorder
 from tests.conftest import SMALL_MACHINE
@@ -63,41 +63,6 @@ class TestBaseAPI:
     def test_repr_mentions_name(self):
         structure = make_structure("Stinger", 4)
         assert "Stinger" in repr(structure)
-
-    def test_base_delete_unsupported_by_default(self):
-        class Bare(GraphDataStructure):
-            name = "Bare"
-
-            def out_neigh(self, u):
-                return []
-
-            def out_traversal_cost(self, u):
-                return 0.0
-
-            def _insert_out(self, src, dst, weight, recorder):
-                raise NotImplementedError
-
-            def _insert_in(self, src, dst, weight, recorder):
-                raise NotImplementedError
-
-            def _in_neigh_directed(self, u):
-                return []
-
-            def _in_traversal_cost_directed(self, u):
-                return 0.0
-
-            def _trace_traversal(self, u, recorder, out):
-                pass
-
-            def _schedule(self, tasks, ctx):
-                raise NotImplementedError
-
-        bare = Bare(4)
-        with pytest.raises(StructureError):
-            bare.delete(
-                EdgeBatch.from_edges([(0, 1)]),
-                ExecutionContext(machine=SMALL_MACHINE),
-            )
 
     def test_update_result_latency_seconds(self):
         structure = make_structure("AC", 8)

@@ -107,7 +107,8 @@ class TestStingerHoles:
         structure.update(filler, ctx)
         assert structure._out.block_count(0) == 2
         # Remove the lone tail entry: the tail block must be unlinked.
-        tail_dst = structure._out._blocks[0][1].entries[0][0]
+        # Blocks are listed in order, so the last neighbor is the tail's.
+        tail_dst = structure.out_neigh(0)[-1][0]
         structure.delete(EdgeBatch.from_edges([(0, tail_dst)]), ctx)
         assert structure._out.block_count(0) == 1
 

@@ -1,13 +1,162 @@
-"""Unit and property tests for the Robin Hood and open-address tables."""
+"""Unit and property tests for DAH's Robin Hood and open-address tables.
+
+The tables are the per-edge Python twins inside
+:class:`~repro.graph.nativestore.NativeDAHStore` (built without compiled
+kernels): a chunk's low-degree table is a Robin Hood table and every
+high-degree vertex's neighbor set is an open-address table with
+tombstones.  The two small adapters below give one such table a
+key/value interface -- values are kept in a side list, the table stores
+their indices -- and drive it only through the twin's own primitives.
+"""
+
+from dataclasses import dataclass
+from typing import List
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graph.hashtables import (
-    MAX_LOAD_FACTOR,
-    OpenAddressTable,
-    RobinHoodTable,
-)
+from repro.graph.nativestore import NativeDAHStore
+from repro.sim.memory import AddressSpace
+
+#: The twins grow a table once an insert would push its load past 7/10.
+MAX_LOAD_FACTOR = 0.7
+
+
+@dataclass
+class Outcome:
+    found: bool
+    path: List[int]
+    resized_moves: int = 0
+
+    @property
+    def probes(self) -> int:
+        return len(self.path)
+
+
+class _TwinTable:
+    """Shared key/value plumbing over one table of a DAH twin."""
+
+    def __init__(self) -> None:
+        self.store = NativeDAHStore(1, 1, AddressSpace(), "test", kernels=None)
+        self._values: list = []
+
+    def _value_index(self, value) -> int:
+        self._values.append(value)
+        return len(self._values) - 1
+
+    @property
+    def load_factor(self) -> float:
+        return len(self) / self.capacity
+
+    def items(self):
+        off, cap = self._span()
+        keys = self.store_keys()[off:off + cap].tolist()
+        values = self.store_values()[off:off + cap].tolist()
+        return [
+            (key, self._values[int(index)])
+            for key, index in zip(keys, values)
+            if key >= 0
+        ]
+
+
+class RobinHoodTable(_TwinTable):
+    """Chunk 0's low-degree table (Robin Hood, backward-shift delete)."""
+
+    def __init__(self, initial_capacity: int = 64) -> None:
+        super().__init__()
+        self.store._lcap[0] = initial_capacity
+
+    def _span(self):
+        return int(self.store._loff[0]), int(self.store._lcap[0])
+
+    def store_keys(self):
+        return self.store._lkeys
+
+    def store_values(self):
+        return self.store._lval
+
+    @property
+    def capacity(self) -> int:
+        return int(self.store._lcap[0])
+
+    def __len__(self) -> int:
+        return int(self.store._lsize[0])
+
+    def get(self, key):
+        off, cap = self._span()
+        slot, path = self.store._rh_get_path(off, cap, key)
+        if slot is None:
+            return None, Outcome(False, path)
+        return self._values[int(self.store._lval[off + slot])], Outcome(True, path)
+
+    def put(self, key, value) -> Outcome:
+        off, cap = self._span()
+        slot, path = self.store._rh_get_path(off, cap, key)
+        if slot is not None:
+            self.store._lval[off + slot] = self._value_index(value)
+            return Outcome(True, path)
+        path, moved = self.store._low_put(0, key, self._value_index(value))
+        return Outcome(False, path, moved)
+
+    def delete(self, key) -> Outcome:
+        before = len(self)
+        path = self.store._rh_delete(0, key)
+        return Outcome(len(self) < before, path)
+
+    def max_displacement(self) -> int:
+        off, cap = self._span()
+        mask = cap - 1
+        keys = self.store._lkeys[off:off + cap].tolist()
+        return max(
+            ((slot - self.store._hash(key, mask)) & mask
+             for slot, key in enumerate(keys) if key >= 0),
+            default=0,
+        )
+
+
+class OpenAddressTable(_TwinTable):
+    """One high-degree neighbor set (open addressing, tombstones)."""
+
+    def __init__(self, initial_capacity: int = 32) -> None:
+        super().__init__()
+        self.sid = self.store._new_set()
+        self.store._scap[self.sid] = initial_capacity
+
+    def _span(self):
+        return int(self.store._soff[self.sid]), int(self.store._scap[self.sid])
+
+    def store_keys(self):
+        return self.store._skeys
+
+    def store_values(self):
+        return self.store._swgt
+
+    @property
+    def capacity(self) -> int:
+        return int(self.store._scap[self.sid])
+
+    def __len__(self) -> int:
+        return int(self.store._ssize[self.sid])
+
+    def get(self, key):
+        off, cap = self._span()
+        slot, path = self.store._oa_get_path(self.store._skeys, off, cap, key)
+        if slot is None:
+            return None, Outcome(False, path)
+        return self._values[int(self.store._swgt[off + slot])], Outcome(True, path)
+
+    def put(self, key, value) -> Outcome:
+        off, cap = self._span()
+        slot, path = self.store._oa_get_path(self.store._skeys, off, cap, key)
+        if slot is not None:
+            self.store._swgt[off + slot] = self._value_index(value)
+            return Outcome(True, path)
+        path, moved = self.store._set_put(self.sid, key, self._value_index(value))
+        return Outcome(False, path, moved)
+
+    def delete(self, key) -> Outcome:
+        found, path = self.store._set_delete(self.sid, key)
+        return Outcome(found, path)
 
 
 @pytest.mark.parametrize("table_cls", [RobinHoodTable, OpenAddressTable])

@@ -5,6 +5,7 @@ import pytest
 from repro.graph import EdgeBatch, ExecutionContext
 from repro.graph.stinger import BLOCK_CAPACITY, Stinger
 from repro.sim.cost_model import DEFAULT_COST_MODEL
+from repro.sim.tasks import NO_LOCK
 from tests.conftest import SMALL_MACHINE
 
 
@@ -58,27 +59,27 @@ class TestTwoScanCosts:
         ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
         structure.update(EdgeBatch.from_edges([(0, 1)]), ctx)
         result = structure.update(EdgeBatch.from_edges([(0, 1)]), ctx)
-        out_task = result.extra["tasks"][0]
-        assert out_task.lock is None
-        assert out_task.locked_work == 0.0
+        tasks = result.extra["tasks"]
+        assert tasks.lock[0] == NO_LOCK
+        assert tasks.locked_work[0] == 0.0
 
     def test_inserts_into_different_blocks_use_different_locks(self):
         # Two vertices' tail blocks are distinct lock domains.
         structure = Stinger(max_nodes=8)
         ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (2, 3)]), ctx)
-        tasks = result.extra["tasks"]
-        out_locks = [t.lock for t in tasks if t.lock is not None]
+        locks = result.extra["tasks"].lock
+        out_locks = locks[locks != NO_LOCK].tolist()
         assert len(set(out_locks)) == len(out_locks)
 
     def test_intra_node_inserts_share_tail_lock(self):
         structure = Stinger(max_nodes=8)
         ctx = ExecutionContext(machine=SMALL_MACHINE, keep_tasks=True)
         result = structure.update(EdgeBatch.from_edges([(0, 1), (0, 2)]), ctx)
-        out_tasks = [t for t in result.extra["tasks"] if t.lock is not None]
+        locks = result.extra["tasks"].lock
         # Both inserts landed in vertex 0's single tail block (plus the
         # in-store tasks for vertices 1 and 2).
-        locks = [t.lock for t in out_tasks]
+        locks = locks[locks != NO_LOCK].tolist()
         assert len(locks) == 4
         assert locks[0] == locks[2]  # the two out-store inserts
 

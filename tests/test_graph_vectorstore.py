@@ -1,14 +1,17 @@
-"""Unit tests for the shared adjacency vector store."""
+"""Unit tests for the AS/AC vector store's per-edge Python twin.
 
-import pytest
+The store is built without compiled kernels (``kernels=None``), so
+every operation runs the Python reference.
+"""
 
-from repro.graph.vectorstore import INITIAL_CAPACITY, VectorStore
+from repro.graph.nativestore import NativeVectorStore
+from repro.graph.vectorstore import INITIAL_CAPACITY
 from repro.sim.memory import AddressSpace
 from repro.sim.trace import NullRecorder, TraceRecorder
 
 
 def store(max_nodes=8):
-    return VectorStore(max_nodes, AddressSpace(), "test")
+    return NativeVectorStore(max_nodes, AddressSpace(), "test", kernels=None)
 
 
 class TestInsert:
@@ -79,10 +82,10 @@ class TestTrace:
 
     def test_memory_freed_on_growth(self):
         space = AddressSpace()
-        s = VectorStore(4, space, "grow")
+        s = NativeVectorStore(4, space, "grow", kernels=None)
         recorder = NullRecorder()
         for v in range(INITIAL_CAPACITY * 8):
             s.insert(0, v, 1.0, recorder)
         # Live bytes reflect only the current capacity, not old copies.
         live_vec = space.live_bytes_for("grow.vec")
-        assert live_vec == s._capacity[0] * 8
+        assert live_vec == int(s._capacity[0]) * 8

@@ -1,19 +1,22 @@
-"""The compiled event-loop kernel vs the pure-Python columnar loop.
+"""The compiled event-loop kernel vs the pure-Python reference loop.
 
 ``repro.sim.ckernel`` compiles the DynamicScheduler event loop with the
 system C compiler when one is available.  These tests check that the
 compiled loop's ScheduleResult is bit-identical to the Python loop's on
-adversarial task streams, and that the scheduler degrades gracefully
-when the kernel is unavailable.  (The legacy-vs-columnar differential
-suite in ``test_task_kernels.py`` covers kernel-vs-object-path identity
-whenever the kernel is active.)
+adversarial task streams (``test_task_kernels.py`` adds the Hypothesis
+property and the edge-case streams), that the timeline-capturing Python
+loop schedules identically, and that the scheduler degrades loudly but
+gracefully when the kernel cannot be built.
 """
 
+import os
 import unittest
+import warnings
 from unittest import mock
 
 import numpy as np
 
+from repro.obs.tracer import TRACER
 from repro.sim import ckernel
 from repro.sim.scheduler import DynamicScheduler
 from repro.sim.tasks import NO_LOCK, TaskArray
@@ -87,6 +90,26 @@ class CompiledKernelDifferentialTest(unittest.TestCase):
         compiled, python = _both_paths(tasks, 6, dispatch_chunk=8)
         _assert_identical(self, compiled, python)
 
+    def test_timeline_capture_schedules_identically(self):
+        # The timeline forces the Python loop; only extra["timeline"]
+        # may differ from the compiled result.
+        tasks = _stream(seed=7, n=800, lock_pool=12, lock_fraction=0.7,
+                        fine_fraction=0.4)
+        scheduler = DynamicScheduler(6)
+        compiled = scheduler.run(tasks)
+        saved = (TRACER.enabled, TRACER.keep_events, TRACER.sim_timeline)
+        TRACER.enable(sim_timeline=True)
+        try:
+            traced = scheduler.run(tasks)
+        finally:
+            TRACER.enabled, TRACER.keep_events, TRACER.sim_timeline = saved
+        _assert_identical(self, compiled, traced)
+        starts, ends = traced.extra["timeline"]
+        self.assertEqual(len(starts), len(tasks))
+        self.assertTrue((ends >= starts).all())
+        self.assertEqual(float(ends.max()), traced.makespan_cycles)
+        self.assertNotIn("timeline", compiled.extra)
+
     def test_thread_count_above_kernel_limit_uses_python_loop(self):
         # threads > MAX_KERNEL_THREADS must bypass the kernel, not fail.
         tasks = _stream(seed=5, n=200, lock_pool=10, lock_fraction=1.0,
@@ -102,6 +125,41 @@ class KernelGatingTest(unittest.TestCase):
             ckernel.reset()
             try:
                 self.assertIsNone(ckernel.get_kernel())
+            finally:
+                ckernel.reset()
+
+    def test_build_failure_warns_and_falls_back(self):
+        def broken(*args, **kwargs):
+            raise OSError("no compiler")
+
+        env = {k: v for k, v in os.environ.items() if k != ckernel.DISABLE_ENV}
+        with mock.patch.dict("os.environ", env, clear=True), \
+                mock.patch.object(ckernel, "load_library", broken):
+            ckernel.reset()
+            try:
+                with self.assertWarnsRegex(RuntimeWarning, "OSError: no compiler"):
+                    self.assertIsNone(ckernel.get_kernel())
+                # Probed once: later calls stay quiet.
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    self.assertIsNone(ckernel.get_kernel())
+                    tasks = _stream(seed=8, n=50, lock_pool=5,
+                                    lock_fraction=0.5, fine_fraction=0.0)
+                    self.assertEqual(DynamicScheduler(4).run(tasks).task_count, 50)
+            finally:
+                ckernel.reset()
+
+    def test_disabled_on_purpose_is_silent(self):
+        def broken(*args, **kwargs):
+            raise AssertionError("the build must not be attempted")
+
+        with mock.patch.dict("os.environ", {ckernel.DISABLE_ENV: "1"}), \
+                mock.patch.object(ckernel, "load_library", broken):
+            ckernel.reset()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    self.assertIsNone(ckernel.get_kernel())
             finally:
                 ckernel.reset()
 

@@ -9,9 +9,11 @@ from repro.sim.cost_model import CostModel
 from repro.sim.scheduler import (
     ChunkedScheduler,
     DynamicScheduler,
-    Task,
     parallel_for_makespan,
 )
+from repro.sim.tasks import NO_LOCK, TaskArray
+
+build = TaskArray.build
 
 #: A cost model with zero scheduling/lock overheads for exact checks.
 FREE = CostModel(
@@ -25,32 +27,32 @@ FREE = CostModel(
 
 class TestDynamicScheduler:
     def test_empty(self):
-        result = DynamicScheduler(4, cost_model=FREE).run([])
+        result = DynamicScheduler(4, cost_model=FREE).run(TaskArray.empty())
         assert result.makespan_cycles == 0.0
         assert result.task_count == 0
 
     def test_single_task(self):
-        result = DynamicScheduler(4, cost_model=FREE).run([Task(unlocked_work=100)])
+        result = DynamicScheduler(4, cost_model=FREE).run(build(1, unlocked_work=100))
         assert result.makespan_cycles == pytest.approx(100.0)
 
     def test_serial_on_one_thread(self):
-        tasks = [Task(unlocked_work=10) for _ in range(7)]
+        tasks = build(7, unlocked_work=10)
         result = DynamicScheduler(1, cost_model=FREE).run(tasks)
         assert result.makespan_cycles == pytest.approx(70.0)
 
     def test_perfect_parallelism_without_locks(self):
-        tasks = [Task(unlocked_work=10) for _ in range(8)]
+        tasks = build(8, unlocked_work=10)
         result = DynamicScheduler(4, cost_model=FREE).run(tasks)
         assert result.makespan_cycles == pytest.approx(20.0)
 
     def test_lock_serializes_same_lock(self):
         # Four tasks on the same lock cannot overlap their locked work.
-        tasks = [Task(unlocked_work=0, locked_work=10, lock=7) for _ in range(4)]
+        tasks = build(4, unlocked_work=0, locked_work=10, lock=7)
         result = DynamicScheduler(4, cost_model=FREE).run(tasks)
         assert result.makespan_cycles == pytest.approx(40.0)
 
     def test_different_locks_run_in_parallel(self):
-        tasks = [Task(unlocked_work=0, locked_work=10, lock=i) for i in range(4)]
+        tasks = build(4, unlocked_work=0, locked_work=10, lock=np.arange(4))
         result = DynamicScheduler(4, cost_model=FREE).run(tasks)
         assert result.makespan_cycles == pytest.approx(10.0)
 
@@ -62,7 +64,7 @@ class TestDynamicScheduler:
             lock_contended_penalty=100.0,
             smt_work_scale=1.0,
         )
-        tasks = [Task(unlocked_work=0, locked_work=10, lock=1) for _ in range(3)]
+        tasks = build(3, unlocked_work=0, locked_work=10, lock=1)
         result = DynamicScheduler(4, cost_model=cost).run(tasks)
         assert result.contended_acquires == 2
         # 10 + (100 + 10) + (100 + 10)
@@ -72,10 +74,7 @@ class TestDynamicScheduler:
     def test_unlocked_portion_overlaps_lock_wait(self):
         # Stinger's model: scans (unlocked) proceed while another task
         # holds the block lock.
-        tasks = [
-            Task(unlocked_work=0, locked_work=100, lock=1),
-            Task(unlocked_work=100, locked_work=10, lock=1),
-        ]
+        tasks = build(2, unlocked_work=[0, 100], locked_work=[100, 10], lock=1)
         result = DynamicScheduler(2, cost_model=FREE).run(tasks)
         # Task 2's scan runs during task 1's locked 100 cycles.
         assert result.makespan_cycles == pytest.approx(110.0)
@@ -87,7 +86,7 @@ class TestDynamicScheduler:
             lock_release=0.0,
             smt_work_scale=1.5,
         )
-        tasks = [Task(unlocked_work=10) for _ in range(8)]
+        tasks = build(8, unlocked_work=10)
         plain = DynamicScheduler(4, physical_cores=4, cost_model=cost).run(tasks)
         smt = DynamicScheduler(8, physical_cores=4, cost_model=cost).run(tasks)
         assert plain.makespan_cycles == pytest.approx(20.0)
@@ -100,7 +99,7 @@ class TestDynamicScheduler:
             lock_release=0.0,
             smt_work_scale=1.0,
         )
-        result = DynamicScheduler(1, cost_model=cost).run([Task(unlocked_work=10)])
+        result = DynamicScheduler(1, cost_model=cost).run(build(1, unlocked_work=10))
         assert result.makespan_cycles == pytest.approx(15.0)
 
     def test_rejects_bad_thread_count(self):
@@ -108,13 +107,13 @@ class TestDynamicScheduler:
             DynamicScheduler(0)
 
     def test_task_thread_assignment_shape(self):
-        tasks = [Task(unlocked_work=1) for _ in range(10)]
+        tasks = build(10, unlocked_work=1)
         result = DynamicScheduler(3, cost_model=FREE).run(tasks)
         assert result.task_thread.shape == (10,)
         assert set(result.task_thread) <= {0, 1, 2}
 
     def test_utilization_and_speedup(self):
-        tasks = [Task(unlocked_work=10) for _ in range(8)]
+        tasks = build(8, unlocked_work=10)
         result = DynamicScheduler(4, cost_model=FREE).run(tasks)
         assert result.speedup == pytest.approx(4.0)
         assert result.utilization == pytest.approx(1.0)
@@ -123,24 +122,28 @@ class TestDynamicScheduler:
 class TestChunkedScheduler:
     def test_requires_chunks(self):
         with pytest.raises(SimulationError):
-            ChunkedScheduler(2, cost_model=FREE).run([Task(unlocked_work=1)])
+            ChunkedScheduler(2, cost_model=FREE).run(build(1, unlocked_work=1))
 
     def test_chunks_map_round_robin(self):
-        tasks = [Task(unlocked_work=10, chunk=c) for c in range(4)]
+        tasks = build(4, unlocked_work=10, chunk=np.arange(4))
         result = ChunkedScheduler(2, cost_model=FREE).run(tasks)
         # chunks 0, 2 -> thread 0; chunks 1, 3 -> thread 1.
         assert result.makespan_cycles == pytest.approx(20.0)
 
     def test_imbalance_shows_in_makespan(self):
         # One hot chunk dominates: the heavy-tailed DAH story.
-        tasks = [Task(unlocked_work=100, chunk=0) for _ in range(10)]
-        tasks += [Task(unlocked_work=1, chunk=c) for c in range(1, 8)]
+        tasks = TaskArray.concatenate(
+            [
+                build(10, unlocked_work=100, chunk=0),
+                build(7, unlocked_work=1, chunk=np.arange(1, 8)),
+            ]
+        )
         result = ChunkedScheduler(8, cost_model=FREE).run(tasks)
         assert result.makespan_cycles == pytest.approx(1000.0)
         assert result.utilization < 0.2
 
     def test_empty(self):
-        result = ChunkedScheduler(4, cost_model=FREE).run([])
+        result = ChunkedScheduler(4, cost_model=FREE).run(TaskArray.empty())
         assert result.makespan_cycles == 0.0
         assert result.task_thread.dtype == np.int32
         assert result.task_thread.shape == (0,)
@@ -150,7 +153,7 @@ class TestChunkedScheduler:
     def test_more_threads_than_chunks_utilization(self):
         # Two chunks can reach at most two threads; utilization must be
         # measured against those two, not all eight.
-        tasks = [Task(unlocked_work=10, chunk=c) for c in range(2)]
+        tasks = build(2, unlocked_work=10, chunk=np.arange(2))
         result = ChunkedScheduler(8, cost_model=FREE).run(tasks)
         assert result.active_threads == 2
         assert result.utilization == pytest.approx(1.0)
@@ -159,7 +162,7 @@ class TestChunkedScheduler:
 
     def test_active_threads_counts_distinct_targets(self):
         # Chunks 0 and 4 collide on thread 0 of 4: one active thread.
-        tasks = [Task(unlocked_work=5, chunk=0), Task(unlocked_work=5, chunk=4)]
+        tasks = build(2, unlocked_work=5, chunk=[0, 4])
         result = ChunkedScheduler(4, cost_model=FREE).run(tasks)
         assert result.active_threads == 1
         assert result.utilization == pytest.approx(1.0)
@@ -189,16 +192,11 @@ class TestParallelFor:
 @st.composite
 def task_lists(draw):
     n = draw(st.integers(min_value=1, max_value=60))
-    tasks = []
-    for _ in range(n):
-        tasks.append(
-            Task(
-                unlocked_work=draw(st.floats(min_value=0, max_value=100)),
-                locked_work=draw(st.floats(min_value=0, max_value=100)),
-                lock=draw(st.one_of(st.none(), st.integers(0, 5))),
-            )
-        )
-    return tasks
+    work = st.lists(st.floats(min_value=0, max_value=100), min_size=n, max_size=n)
+    locks = st.lists(st.integers(NO_LOCK, 5), min_size=n, max_size=n)
+    return build(
+        n, unlocked_work=draw(work), locked_work=draw(work), lock=draw(locks)
+    )
 
 
 @given(tasks=task_lists(), threads=st.integers(min_value=1, max_value=16))
@@ -206,15 +204,15 @@ def task_lists(draw):
 def test_property_makespan_bounds(tasks, threads):
     """Makespan is bounded below by span and total/T, above by serial."""
     result = DynamicScheduler(threads, cost_model=FREE).run(tasks)
-    total = sum(t.total_work for t in tasks)
-    longest = max(t.total_work for t in tasks)
+    total = float(tasks.total_work.sum())
+    longest = float(tasks.total_work.max())
     assert result.makespan_cycles >= longest - 1e-9
     assert result.makespan_cycles >= total / threads - 1e-9
     assert result.makespan_cycles <= total + 1e-9
 
     # Lock-serialization lower bound: all work on one lock serializes.
-    for lock in {t.lock for t in tasks if t.lock is not None}:
-        lock_work = sum(t.locked_work for t in tasks if t.lock == lock)
+    for lock in set(tasks.lock[tasks.lock != NO_LOCK].tolist()):
+        lock_work = float(tasks.locked_work[tasks.lock == lock].sum())
         assert result.makespan_cycles >= lock_work - 1e-9
 
 

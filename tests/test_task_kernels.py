@@ -1,22 +1,25 @@
-"""Differential tests: columnar task kernels vs the legacy object path.
+"""Differential tests: the update plane's two implementations.
 
-The columnar rewrite (``TaskArray`` emission + array schedulers) must be
-**bit-identical** to the per-object ``Task`` path it replaced -- not
-approximately equal.  Every test here runs the same edge stream through
-a structure twice, once with ``SAGA_BENCH_LEGACY_TASKS=1`` and once
-without, and compares makespans, total work, lock-wait cycles,
+Every structure's update plane has a compiled fast path (the batch
+ingest kernels of ``repro.sim.cingest``) and a reference (the stores'
+per-edge Python twins, selected with ``SAGA_BENCH_NO_CINGEST=all``).
+The dynamic scheduler likewise has the compiled event loop of
+``repro.sim.ckernel`` and the Python loop.  The two must be
+**bit-identical** -- not approximately equal.  The first group of
+tests runs the same edge stream through a structure on both ingest
+paths and compares makespans, total work, lock-wait cycles,
 contended-acquire counts, per-thread busy time, task-to-thread
 assignments, and (when tracing) cache hit/miss counts with ``==`` on
 the raw floats.
 
-A second group of tests feeds identical task batches to the schedulers
-in both representations directly, pinning each of the dynamic
-scheduler's array kernels (the n <= threads fast path, the uniform-cost
-ladder, and the event-loop fallback) against the legacy heap loop.
+A second group feeds task batches straight to the schedulers: the
+dynamic scheduler's compiled loop against its Python loop, and the
+chunked scheduler's bincount against a per-task reference loop.
 """
 
 import os
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +27,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
 from repro.graph import EdgeBatch, ExecutionContext, STRUCTURES, make_structure
+from repro.sim import cingest, ckernel
 from repro.sim.cache import CacheHierarchy
 from repro.sim.cost_model import DEFAULT_COST_MODEL, CostModel
-from repro.sim.scheduler import ChunkedScheduler, DynamicScheduler
-from repro.sim.tasks import LEGACY_TASKS_ENV, Task, TaskArray, use_legacy_tasks
+from repro.sim.scheduler import (
+    ChunkedScheduler,
+    DynamicScheduler,
+    ScheduleResult,
+    work_scale,
+)
+from repro.sim.tasks import NO_CHUNK, NO_LOCK, TaskArray
 from repro.sim.trace import TraceRecorder
 from tests.conftest import SMALL_MACHINE, random_batch
 
@@ -35,27 +44,22 @@ ALL = sorted(STRUCTURES)
 
 
 @contextmanager
-def legacy_tasks(enabled: bool):
-    """Temporarily select the legacy object-based task path."""
-    saved = os.environ.get(LEGACY_TASKS_ENV)
+def python_twins(enabled: bool):
+    """Build structures on the per-edge Python twins (kernels disabled)."""
+    saved = os.environ.get(cingest.DISABLE_ENV)
     try:
         if enabled:
-            os.environ[LEGACY_TASKS_ENV] = "1"
+            os.environ[cingest.DISABLE_ENV] = "all"
         else:
-            os.environ.pop(LEGACY_TASKS_ENV, None)
+            os.environ.pop(cingest.DISABLE_ENV, None)
+        cingest.reset()
         yield
     finally:
         if saved is None:
-            os.environ.pop(LEGACY_TASKS_ENV, None)
+            os.environ.pop(cingest.DISABLE_ENV, None)
         else:
-            os.environ[LEGACY_TASKS_ENV] = saved
-
-
-def test_env_toggle():
-    with legacy_tasks(True):
-        assert use_legacy_tasks()
-    with legacy_tasks(False):
-        assert not use_legacy_tasks()
+            os.environ[cingest.DISABLE_ENV] = saved
+        cingest.reset()
 
 
 def stream_batches(num_nodes=48, batches=3, edges=220, seed=17):
@@ -70,9 +74,9 @@ def stream_batches(num_nodes=48, batches=3, edges=220, seed=17):
     return out
 
 
-def run_stream(name, legacy, threads, delete_last=False, trace=False):
+def run_stream(name, twins, threads, delete_last=False, trace=False):
     """Ingest the reference stream and collect every comparable number."""
-    with legacy_tasks(legacy):
+    with python_twins(twins):
         structure = make_structure(name, 48)
         hierarchy = CacheHierarchy(SMALL_MACHINE, threads=threads)
         observed = []
@@ -116,9 +120,9 @@ def run_stream(name, legacy, threads, delete_last=False, trace=False):
 
 
 def assert_bit_identical(name, **kwargs):
-    legacy = run_stream(name, legacy=True, **kwargs)
-    columnar = run_stream(name, legacy=False, **kwargs)
-    assert legacy == columnar  # exact: no approx anywhere
+    twins = run_stream(name, twins=True, **kwargs)
+    compiled = run_stream(name, twins=False, **kwargs)
+    assert twins == compiled  # exact: no approx anywhere
 
 
 @pytest.mark.parametrize("name", ALL)
@@ -144,67 +148,81 @@ class TestStructureDifferentialInstrumented:
 
     def test_empty_batch(self, name):
         ctx = ExecutionContext(machine=SMALL_MACHINE, threads=4, keep_tasks=True)
-        with legacy_tasks(False):
+        with python_twins(False):
             structure = make_structure(name, 8)
             result = structure.update(EdgeBatch.empty(), ctx)
-        with legacy_tasks(True):
-            legacy_structure = make_structure(name, 8)
-            legacy_result = legacy_structure.update(EdgeBatch.empty(), ctx)
+        with python_twins(True):
+            twin_structure = make_structure(name, 8)
+            twin_result = twin_structure.update(EdgeBatch.empty(), ctx)
         assert (
             result.schedule.makespan_cycles
-            == legacy_result.schedule.makespan_cycles
+            == twin_result.schedule.makespan_cycles
         )
         assert result.schedule.task_thread.dtype == np.int32
-        assert result.edges_inserted == legacy_result.edges_inserted == 0
+        assert result.edges_inserted == twin_result.edges_inserted == 0
 
     def test_columnar_emits_task_array(self, name):
+        # Both paths emit the same task columns, not just the same
+        # schedules.
         ctx = ExecutionContext(machine=SMALL_MACHINE, threads=4, keep_tasks=True)
         batch = random_batch(16, 60, seed=3)
-        with legacy_tasks(False):
-            structure = make_structure(name, 16)
-            result = structure.update(batch, ctx)
-        assert isinstance(result.extra["tasks"], TaskArray)
-        with legacy_tasks(True):
-            structure = make_structure(name, 16)
-            result = structure.update(batch, ctx)
-        assert isinstance(result.extra["tasks"], list)
-
-    def test_task_columns_match_legacy_objects(self, name):
-        # The emitted tasks themselves -- not just the schedules -- must
-        # agree column by column.
-        batch = random_batch(16, 80, seed=9)
-        ctx = ExecutionContext(machine=SMALL_MACHINE, threads=4, keep_tasks=True)
-        with legacy_tasks(False):
-            columnar = make_structure(name, 16).update(batch, ctx).extra["tasks"]
-        with legacy_tasks(True):
-            objects = make_structure(name, 16).update(batch, ctx).extra["tasks"]
-        boxed = TaskArray.from_tasks(objects)
-        assert len(columnar) == len(boxed)
+        emitted = []
+        for twins in (False, True):
+            with python_twins(twins):
+                structure = make_structure(name, 16)
+                emitted.append(structure.update(batch, ctx).extra["tasks"])
+        compiled, twin = emitted
+        assert isinstance(compiled, TaskArray) and isinstance(twin, TaskArray)
+        assert len(compiled) == len(twin)
         for column in TaskArray.__slots__:
-            ours = getattr(columnar, column)
-            theirs = getattr(boxed, column)
-            assert ours.tolist() == theirs.tolist(), column
+            assert getattr(compiled, column).tolist() == getattr(twin, column).tolist()
 
 
 # ---------------------------------------------------------------------------
-# Scheduler kernels, pinned representation-vs-representation
+# Scheduler kernels: compiled vs Python loop, bincount vs per-task loop
 # ---------------------------------------------------------------------------
 
 COST = DEFAULT_COST_MODEL
 
 
-def assert_same_schedule(array_result, object_result):
-    assert array_result.makespan_cycles == object_result.makespan_cycles
-    assert array_result.total_work_cycles == object_result.total_work_cycles
-    assert array_result.lock_wait_cycles == object_result.lock_wait_cycles
-    assert array_result.contended_acquires == object_result.contended_acquires
-    assert array_result.task_count == object_result.task_count
-    assert (
-        array_result.thread_busy_cycles.tolist()
-        == object_result.thread_busy_cycles.tolist()
-    )
-    assert (
-        array_result.task_thread.tolist() == object_result.task_thread.tolist()
+def assert_same_schedule(result, reference):
+    assert result.makespan_cycles == reference.makespan_cycles
+    assert result.total_work_cycles == reference.total_work_cycles
+    assert result.lock_wait_cycles == reference.lock_wait_cycles
+    assert result.contended_acquires == reference.contended_acquires
+    assert result.task_count == reference.task_count
+    assert result.thread_busy_cycles.tolist() == reference.thread_busy_cycles.tolist()
+    assert result.task_thread.tolist() == reference.task_thread.tolist()
+
+
+def run_dynamic_both(scheduler: DynamicScheduler, tasks: TaskArray):
+    """Schedule on the compiled loop and on the Python loop; must agree."""
+    compiled = scheduler.run(tasks)
+    with mock.patch.object(ckernel, "get_kernel", return_value=None):
+        python = scheduler.run(tasks)
+    assert_same_schedule(compiled, python)
+    return compiled
+
+
+def chunked_reference(scheduler: ChunkedScheduler, tasks: TaskArray):
+    """The chunked schedule as a per-task loop (chunk c on thread c % T)."""
+    threads = scheduler.threads
+    scale = work_scale(threads, scheduler.physical_cores, scheduler.cost)
+    busy = np.zeros(threads)
+    assignment = []
+    total = 0.0
+    for work, chunk in zip(tasks.total_work.tolist(), tasks.chunk.tolist()):
+        tid = chunk % threads
+        busy[tid] += work * scale
+        total += work
+        assignment.append(tid)
+    return ScheduleResult(
+        makespan_cycles=float(busy.max()) if len(tasks) else 0.0,
+        total_work_cycles=total,
+        threads=threads,
+        task_count=len(tasks),
+        thread_busy_cycles=busy,
+        task_thread=np.asarray(assignment, dtype=np.int32),
     )
 
 
@@ -213,24 +231,23 @@ class TestDynamicKernels:
         scheduler = DynamicScheduler(
             threads, physical_cores=physical_cores, cost_model=COST
         )
-        array_result = scheduler.run(tasks)
-        object_result = scheduler.run(tasks.to_tasks())
-        assert_same_schedule(array_result, object_result)
-        return array_result
+        return run_dynamic_both(scheduler, tasks)
 
     def test_fast_path_fewer_tasks_than_threads(self):
-        # Path A: n <= threads, distinct positive completion times.
+        # n <= threads, distinct positive completion times.
         tasks = TaskArray.build(5, unlocked_work=[3.0, 8.0, 1.0, 9.0, 2.0])
-        self.run_both(tasks, threads=8)
+        result = self.run_both(tasks, threads=8)
+        assert result.task_thread.tolist() == [0, 1, 2, 3, 4]
 
     def test_fast_path_uniform_ladder(self):
-        # Path B: uniform costs, n > threads, round-robin ladder.
+        # Uniform costs, n > threads: dispatch is round-robin.
         tasks = TaskArray.build(23, unlocked_work=4.0, locked_work=0.0)
-        self.run_both(tasks, threads=4)
+        result = self.run_both(tasks, threads=4)
+        assert result.task_thread.tolist() == [i % 4 for i in range(23)]
 
     def test_zero_cost_tasks_fall_back_to_event_loop(self):
-        # Zero completion times make the legacy heap stack every task
-        # on thread 0; the closed forms must decline and fall back.
+        # Zero completion times tie every (end, thread) pair on the
+        # heap's root: every task lands on thread 0.
         free = CostModel(
             task_dispatch=0.0,
             lock_acquire=0.0,
@@ -238,11 +255,8 @@ class TestDynamicKernels:
             smt_work_scale=1.0,
         )
         tasks = TaskArray.build(6, unlocked_work=0.0)
-        scheduler = DynamicScheduler(4, cost_model=free)
-        array_result = scheduler.run(tasks)
-        object_result = scheduler.run(tasks.to_tasks())
-        assert_same_schedule(array_result, object_result)
-        assert array_result.task_thread.tolist() == [0] * 6
+        result = run_dynamic_both(DynamicScheduler(4, cost_model=free), tasks)
+        assert result.task_thread.tolist() == [0] * 6
 
     def test_irregular_lockfree_falls_back(self):
         tasks = TaskArray.build(17, unlocked_work=np.linspace(1.0, 9.0, 17))
@@ -289,14 +303,14 @@ class TestChunkedKernels:
             chunk=rng.integers(0, 16, n),
         )
         scheduler = ChunkedScheduler(6, cost_model=COST)
-        assert_same_schedule(scheduler.run(tasks), scheduler.run(tasks.to_tasks()))
+        assert_same_schedule(scheduler.run(tasks), chunked_reference(scheduler, tasks))
 
     def test_smt_scale(self):
         tasks = TaskArray.build(
             12, unlocked_work=np.arange(12, dtype=np.float64), chunk=np.arange(12)
         )
         scheduler = ChunkedScheduler(16, physical_cores=8, cost_model=COST)
-        assert_same_schedule(scheduler.run(tasks), scheduler.run(tasks.to_tasks()))
+        assert_same_schedule(scheduler.run(tasks), chunked_reference(scheduler, tasks))
 
     def test_chunkless_array_rejected(self):
         tasks = TaskArray.build(3, unlocked_work=1.0)  # chunk = NO_CHUNK
@@ -324,12 +338,22 @@ def task_arrays(draw):
     )
 
 
-@given(tasks=task_arrays(), threads=st.integers(min_value=1, max_value=12))
+@given(
+    tasks=task_arrays(),
+    threads=st.one_of(
+        st.integers(min_value=1, max_value=12),
+        st.integers(min_value=ckernel.MAX_KERNEL_THREADS - 1, max_value=80),
+    ),
+)
 @settings(max_examples=60, deadline=None)
 def test_property_dynamic_bit_identity(tasks, threads):
-    """Any task batch schedules bit-identically in both representations."""
+    """Any task batch schedules bit-identically on both event loops.
+
+    Thread counts above ``MAX_KERNEL_THREADS`` run the Python loop on
+    both sides; they must still schedule without error.
+    """
     scheduler = DynamicScheduler(threads, physical_cores=6, cost_model=COST)
-    assert_same_schedule(scheduler.run(tasks), scheduler.run(tasks.to_tasks()))
+    run_dynamic_both(scheduler, tasks)
 
 
 @given(tasks=task_arrays(), threads=st.integers(min_value=1, max_value=12))
@@ -342,25 +366,30 @@ def test_property_chunked_bit_identity(tasks, threads):
         chunk=np.arange(len(tasks), dtype=np.int64) % 7,
     )
     scheduler = ChunkedScheduler(threads, physical_cores=6, cost_model=COST)
-    assert_same_schedule(scheduler.run(pinned), scheduler.run(pinned.to_tasks()))
+    assert_same_schedule(scheduler.run(pinned), chunked_reference(scheduler, pinned))
 
 
 class TestTaskArrayContainer:
     def test_round_trip(self):
-        tasks = [
-            Task(unlocked_work=1.0, locked_work=2.0, lock=3, fine_lock=True),
-            Task(unlocked_work=4.0, chunk=2, overhead=True),
-        ]
-        array = TaskArray.from_tasks(tasks)
-        assert array.to_tasks() == tasks
-        assert array[0].lock == 3
-        assert array[1].lock is None
-        assert array[1].chunk == 2
+        array = TaskArray.build(
+            2,
+            unlocked_work=[1.0, 4.0],
+            locked_work=[2.0, 0.0],
+            lock=[3, NO_LOCK],
+            chunk=[NO_CHUNK, 2],
+            fine_lock=[True, False],
+            overhead=[False, True],
+        )
+        assert array.lock.tolist() == [3, NO_LOCK]
+        assert array.chunk.tolist() == [NO_CHUNK, 2]
+        assert array.total_work.tolist() == [3.0, 4.0]
+        assert array.fine_lock.dtype == bool and array.overhead.tolist() == [False, True]
         assert len(array) == 2 and bool(array)
+        with pytest.raises(TypeError):
+            array[0]  # tasks are read through the columns
 
     def test_empty_is_falsy(self):
         assert not TaskArray.empty()
-        assert not TaskArray.empty().has_locks
 
     def test_concatenate_filters_empty(self):
         a = TaskArray.build(2, unlocked_work=1.0)
